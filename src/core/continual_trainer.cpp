@@ -1,6 +1,6 @@
 #include "core/continual_trainer.hpp"
 
-#include <algorithm>
+#include <optional>
 
 #include "core/checkpoint.hpp"
 #include "core/latent_source.hpp"
@@ -14,32 +14,6 @@
 #include "util/stopwatch.hpp"
 
 namespace r4ncl::core {
-
-namespace {
-
-/// Runs the frozen prefix [0, insertion) over a dataset and returns the
-/// latent dataset at the insertion point.  Identity when insertion == 0.
-data::Dataset frozen_inference(const snn::SnnNetwork& net, const data::Dataset& dataset,
-                               std::size_t insertion, const snn::ThresholdPolicy& policy,
-                               std::size_t batch_size, snn::SpikeOpStats* stats) {
-  if (insertion == 0 || dataset.empty()) return dataset;
-  data::Dataset out;
-  out.reserve(dataset.size());
-  std::vector<std::size_t> indices(dataset.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  for (std::size_t lo = 0; lo < indices.size(); lo += batch_size) {
-    const std::size_t hi = std::min(indices.size(), lo + batch_size);
-    const std::span<const std::size_t> idx(indices.data() + lo, hi - lo);
-    const Tensor x = data::make_batch(dataset, idx);
-    const Tensor latent = net.run_hidden(x, 0, insertion, policy, stats);
-    for (std::size_t b = 0; b < idx.size(); ++b) {
-      out.push_back({data::batch_to_raster(latent, b), dataset[idx[b]].label});
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 double ClRunResult::total_latency_ms() const noexcept {
   double total = prep_latency_ms;
@@ -123,8 +97,8 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     const data::Dataset replay_rescaled =
         data::time_rescale(tasks.replay_subset, method.cl_timesteps, method.rescale);
     const data::Dataset latents =
-        frozen_inference(net, replay_rescaled, config.insertion_layer, policy,
-                         method.batch_size, &result.prep_stats);
+        snn::frozen_latents(net, replay_rescaled, config.insertion_layer, policy,
+                            method.batch_size, &result.prep_stats);
     for (const auto& s : latents) buffer.add(s.raster, s.label);
     result.latent_memory_bytes = buffer.memory_bytes();
   }
@@ -137,12 +111,28 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
   const data::Dataset new_train_rescaled =
       data::time_rescale(tasks.new_train, method.cl_timesteps, method.rescale);
 
-  // Deployment-configuration evaluation settings (Sec. IV: accuracy is
-  // measured with the method's own timestep and threshold behaviour).
-  metrics::EvalSettings eval_settings;
-  eval_settings.timesteps = method.cl_timesteps;
-  eval_settings.rescale = method.rescale;
-  eval_settings.policy = policy;
+  // A_new = inference(net_f, TS_cl) (Alg. 1 line 23).  Layers below the
+  // insertion point are frozen for the whole run, so A_new is the same every
+  // epoch: run the prefix once here and reuse its output.  Every epoch is
+  // still charged this one inference, exactly what Alg. 1's per-epoch
+  // recompute costs, so the modelled latency/energy are unchanged.  The
+  // streamed branch holds A_new packed (PackedLatentSet), the materialized
+  // branch as a dense dataset.
+  snn::SpikeOpStats new_latent_stats;
+  std::optional<PackedLatentSet> packed_new;
+  data::Dataset new_latents;
+  if (method.use_replay && method.replay_stream) {
+    packed_new.emplace(net, new_train_rescaled, config.insertion_layer, policy,
+                       method.batch_size, &new_latent_stats);
+  } else {
+    new_latents = snn::frozen_latents(net, new_train_rescaled, config.insertion_layer, policy,
+                                      method.batch_size, &new_latent_stats);
+  }
+
+  // The test sets go through the frozen prefix once, under the method's
+  // deployment settings; each evaluation then runs only the learning layers.
+  const metrics::PreparedTasks eval_sets =
+      metrics::prepare_tasks(net, tasks, method.eval_settings(), config.insertion_layer);
 
   // ---- Phase 2: NCL training (Alg. 1 lines 21–33) ------------------------
   result.rows.reserve(config.epochs);
@@ -154,9 +144,9 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     ClEpochRow row;
     row.epoch = epoch;
 
-    // Train the learning layers on A_new ∪ A_LR (Alg. 1 line 31); A_new =
-    // inference(net_f, TS_cl) (line 23, recomputed per epoch) inside each
-    // branch.
+    // Train the learning layers on A_new ∪ A_LR (Alg. 1 line 31), charging
+    // this epoch's A_new inference first (line 23).
+    row.stats = new_latent_stats;
     snn::TrainOptions opts;
     opts.epochs = 1;
     opts.batch_size = method.batch_size;
@@ -173,8 +163,7 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
       // when the shuffled batch assembly reaches it.  A_new streams the same
       // way: PackedLatentSet stores each latent raster AER- or bit-packed
       // and decodes on demand, so neither half is ever dense.
-      PackedLatentSet latents(net, new_train_rescaled, config.insertion_layer, policy,
-                              method.batch_size, &row.stats);
+      PackedLatentSet& latents = *packed_new;
       const std::size_t new_count = latents.size();
       const std::size_t draw = method.replay_samples_per_epoch > 0
                                    ? method.replay_samples_per_epoch
@@ -192,9 +181,7 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
       }
       history = snn::train_supervised(net, source, optimizer, opts);
     } else {
-      data::Dataset mixed =
-          frozen_inference(net, new_train_rescaled, config.insertion_layer, policy,
-                           method.batch_size, &row.stats);
+      data::Dataset mixed = new_latents;
       const std::size_t new_count = mixed.size();
       // A_LR from the buffer (decompression charged to this epoch).  When
       // the method caps its per-epoch replay appetite, only the drawn
@@ -228,7 +215,7 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     const bool evaluate_now =
         (epoch % config.eval_every == 0) || (epoch + 1 == config.epochs);
     if (evaluate_now) {
-      const metrics::TaskAccuracy acc = metrics::evaluate_tasks(net, tasks, eval_settings);
+      const metrics::TaskAccuracy acc = metrics::evaluate_tasks(net, eval_sets);
       row.acc_old = acc.old_tasks;
       row.acc_new = acc.new_task;
       result.final_acc_old = acc.old_tasks;

@@ -5,14 +5,22 @@
 //      insertion layer; run the frozen prefix over TS_replay (under the
 //      method's threshold policy and timestep setting) and store the
 //      resulting latent activations, codec-compressed, in the replay buffer.
-//   2. NCL training — per epoch: regenerate A_new = frozen-prefix inference
-//      of TS_cl (line 23), decompress A_LR from the buffer, and train the
+//   2. NCL training — per epoch: take A_new = frozen-prefix inference of
+//      TS_cl (line 23), decompress A_LR from the buffer, and train the
 //      learning layers on the shuffled union A_new ∪ A_LR with the method's
 //      η_cl and threshold policy (lines 24–32).
 //
-// All modelled latency/energy is charged from the actual event counts of the
-// work performed (frozen inference, decompression, forward/backward of the
-// learning layers); evaluation passes are never charged.
+// The frozen prefix cannot change during phase 2, so the engine runs it once
+// per run: A_new is computed before the first epoch and reused, and the test
+// sets are pushed through the prefix once and evaluated from the insertion
+// layer (metrics::prepare_tasks).  Both reuse the exact batch blocking of a
+// recompute, so every row is bit-identical to Alg. 1's per-epoch recompute.
+//
+// All modelled latency/energy is charged from the event counts of the work
+// Alg. 1 performs (frozen inference, decompression, forward/backward of the
+// learning layers): each epoch is charged its A_new inference even though
+// the engine reuses the cached latents, so wall-clock time and modelled cost
+// deliberately differ.  Evaluation passes are never charged.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,8 @@
 #include "core/latent_source.hpp"
 
-#include <algorithm>
-#include <span>
+#include <utility>
 
-#include "util/error.hpp"
+#include "snn/trainer.hpp"
 
 namespace r4ncl::core {
 
@@ -14,34 +13,23 @@ PackedLatentSet::PackedLatentSet(const snn::SnnNetwork& net, const data::Dataset
     passthrough_ = &dataset;
     return;
   }
-  R4NCL_CHECK(batch_size > 0, "batch_size must be positive");
   entries_.reserve(dataset.size());
-  std::vector<std::size_t> indices(dataset.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  // Same contiguous blocks as to_latents/frozen_inference: the adaptive
-  // threshold observes whole batches, so any other blocking would change
-  // the latents.
-  for (std::size_t lo = 0; lo < indices.size(); lo += batch_size) {
-    const std::size_t hi = std::min(indices.size(), lo + batch_size);
-    const std::span<const std::size_t> idx(indices.data() + lo, hi - lo);
-    const Tensor x = data::make_batch(dataset, idx);
-    const Tensor latent = net.run_hidden(x, 0, insertion, policy, stats);
-    for (std::size_t b = 0; b < idx.size(); ++b) {
-      const data::SpikeRaster raster = data::batch_to_raster(latent, b);
-      Entry e;
-      e.label = dataset[idx[b]].label;
-      e.use_aer = compress::aer_is_smaller(raster);
-      if (e.use_aer) {
-        e.aer = compress::aer_encode(raster);
-        packed_bytes_ += e.aer.payload_bytes();
-        ++aer_entries_;
-      } else {
-        e.packed = compress::pack(raster);
-        packed_bytes_ += e.packed.payload_bytes();
-      }
-      entries_.push_back(std::move(e));
-    }
-  }
+  snn::for_each_latent(
+      net, dataset, insertion, policy, batch_size, stats,
+      [this](data::SpikeRaster&& raster, std::int32_t label) {
+        Entry e;
+        e.label = label;
+        e.use_aer = compress::aer_is_smaller(raster);
+        if (e.use_aer) {
+          e.aer = compress::aer_encode(raster);
+          packed_bytes_ += e.aer.payload_bytes();
+          ++aer_entries_;
+        } else {
+          e.packed = compress::pack(raster);
+          packed_bytes_ += e.packed.payload_bytes();
+        }
+        entries_.push_back(std::move(e));
+      });
 }
 
 std::int32_t PackedLatentSet::label(std::size_t i) const {

@@ -1,22 +1,23 @@
 // Packed streaming source of new-task latents.
 //
-// The run engines recompute the new-task latent activations every CL epoch
-// (Alg. 1 line 23).  The materialized path stores them as a dense
-// data::Dataset — size × (T × C) bytes held for the whole epoch.
-// PackedLatentSet runs the same frozen-prefix inference over the same
-// contiguous batch_size blocks (bit-identical latents — the adaptive
-// threshold couples each sample's latent to its block, so the blocking must
-// match to_latents exactly), but stores every raster compressed: per sample
-// the smaller of AER and 1-bit packing (compress::aer_is_smaller), the same
-// crossover the replay buffer's format analysis exposes.  fetch(i) decodes
-// into a single scratch slot, so the SNN trainer's streaming batch assembly
-// never materializes the set densely.
+// The run engines compute the new-task latent activations (Alg. 1 line 23)
+// once per task — the frozen prefix cannot change during its CL epochs — and
+// reuse them every epoch.  The materialized path holds them as a dense
+// data::Dataset — size × (T × C) bytes for the whole task.  PackedLatentSet
+// runs the same snn::for_each_latent() inference over the same contiguous
+// batch_size blocks (bit-identical latents — the adaptive threshold couples
+// each sample's latent to its block, so the blocking must match
+// snn::frozen_latents exactly), but stores every raster compressed: per
+// sample the smaller of AER and 1-bit packing (compress::aer_is_smaller), the
+// same crossover the replay buffer's format analysis exposes.  fetch(i)
+// decodes into a single scratch slot, so the SNN trainer's streaming batch
+// assembly never materializes the set densely.
 //
 // When insertion == 0 the "latents" are the raw input samples; the set
 // borrows the dataset and fetch is a zero-copy passthrough.
 //
 // Decoding charges nothing to SpikeOpStats, matching the materialized path
-// (to_latents charges only the run_hidden inference, which this constructor
+// (snn::frozen_latents charges only the inference, which this constructor
 // charges identically).
 #pragma once
 
@@ -34,7 +35,8 @@ class PackedLatentSet {
  public:
   /// Runs the frozen prefix [0, insertion) over `dataset` in contiguous
   /// batch_size blocks, packing each latent raster as it is produced.
-  /// `stats` receives the inference work (exactly what to_latents charges).
+  /// `stats` receives the inference work (exactly what snn::frozen_latents
+  /// charges).
   /// With insertion == 0, borrows `dataset` (which must outlive the set).
   PackedLatentSet(const snn::SnnNetwork& net, const data::Dataset& dataset,
                   std::size_t insertion, const snn::ThresholdPolicy& policy,

@@ -10,6 +10,14 @@ snn::ThresholdPolicy NclMethodConfig::policy() const {
   return snn::ThresholdPolicy::fixed(threshold_base);
 }
 
+metrics::EvalSettings NclMethodConfig::eval_settings() const {
+  metrics::EvalSettings eval;
+  eval.timesteps = cl_timesteps;
+  eval.rescale = rescale;
+  eval.policy = policy();
+  return eval;
+}
+
 NclMethodConfig NclMethodConfig::with_latent_bits(std::uint8_t bits) const {
   NclMethodConfig cfg = *this;
   cfg.storage_codec.latent_bits = bits;

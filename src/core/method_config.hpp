@@ -19,6 +19,7 @@
 #include "core/latent_buffer.hpp"
 #include "core/sharded_engine.hpp"
 #include "data/spike_data.hpp"
+#include "metrics/accuracy.hpp"
 #include "snn/network.hpp"
 
 namespace r4ncl::core {
@@ -99,6 +100,10 @@ struct NclMethodConfig {
 
   /// Builds the ThresholdPolicy implied by this method.
   [[nodiscard]] snn::ThresholdPolicy policy() const;
+
+  /// Deployment-configuration evaluation settings (Sec. IV: accuracy is
+  /// measured with the method's own timestep and threshold behaviour).
+  [[nodiscard]] metrics::EvalSettings eval_settings() const;
 
   /// Copy storing latents at `bits` bits per element (0 restores the legacy
   /// binary payload); the method name gains a "-q<bits>" suffix so sweep

@@ -1,6 +1,6 @@
 #include "core/sequential.hpp"
 
-#include <algorithm>
+#include <optional>
 
 #include "core/checkpoint.hpp"
 #include "core/latent_source.hpp"
@@ -13,38 +13,6 @@
 #include "util/rng.hpp"
 
 namespace r4ncl::core {
-
-namespace {
-
-/// Frozen-prefix inference of a dataset (identity when insertion == 0).
-data::Dataset to_latents(const snn::SnnNetwork& net, const data::Dataset& dataset,
-                         std::size_t insertion, const snn::ThresholdPolicy& policy,
-                         std::size_t batch_size, snn::SpikeOpStats* stats) {
-  if (insertion == 0 || dataset.empty()) return dataset;
-  data::Dataset out;
-  out.reserve(dataset.size());
-  std::vector<std::size_t> indices(dataset.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  for (std::size_t lo = 0; lo < indices.size(); lo += batch_size) {
-    const std::size_t hi = std::min(indices.size(), lo + batch_size);
-    const std::span<const std::size_t> idx(indices.data() + lo, hi - lo);
-    const Tensor x = data::make_batch(dataset, idx);
-    const Tensor latent = net.run_hidden(x, 0, insertion, policy, stats);
-    for (std::size_t b = 0; b < idx.size(); ++b) {
-      out.push_back({data::batch_to_raster(latent, b), dataset[idx[b]].label});
-    }
-  }
-  return out;
-}
-
-double accuracy_at(const snn::SnnNetwork& net, const data::Dataset& test,
-                   const NclMethodConfig& method) {
-  const data::Dataset rescaled =
-      data::time_rescale(test, method.cl_timesteps, method.rescale);
-  return snn::evaluate(net, rescaled, 0, method.policy());
-}
-
-}  // namespace
 
 SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialTasks& tasks,
                                    const SequentialRunConfig& config) {
@@ -106,8 +74,8 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     snn::SpikeOpStats prep_stats;
     const data::Dataset rescaled =
         data::time_rescale(tasks.replay_subset, method.cl_timesteps, method.rescale);
-    for (const auto& s : to_latents(net, rescaled, config.insertion_layer, policy,
-                                    method.batch_size, &prep_stats)) {
+    for (const auto& s : snn::frozen_latents(net, rescaled, config.insertion_layer, policy,
+                                             method.batch_size, &prep_stats)) {
       buffer.add(s.raster, s.label);
     }
     result.total_latency_ms += latency_model.latency_ms(prep_stats);
@@ -116,6 +84,15 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
 
   const bool importance_feedback =
       method.importance_feedback && is_importance_policy(method.replay_budget.policy);
+
+  // Evaluation sets go through the frozen prefix once per call: the base
+  // test set now, each task's test set the first time it is scored.  Each
+  // evaluation then runs only the learning layers (bit-identical to scoring
+  // the rescaled set from layer 0, see metrics::PreparedTestSet).
+  const metrics::EvalSettings eval_settings = method.eval_settings();
+  const metrics::PreparedTestSet base_test =
+      metrics::prepare_test_set(net, tasks.pretrain_test, eval_settings, config.insertion_layer);
+  std::vector<std::optional<metrics::PreparedTestSet>> task_tests(tasks.task_classes.size());
   std::size_t completed_here = 0;
   for (std::size_t task = first_task; task < tasks.task_classes.size(); ++task) {
     obs::metrics().counter("core.tasks").add(1);
@@ -137,6 +114,19 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     const data::Dataset new_rescaled = data::time_rescale(
         tasks.task_train[task], method.cl_timesteps, method.rescale);
 
+    // A_new once per task (see run_continual_learning): every epoch reuses
+    // it and is charged its inference.
+    snn::SpikeOpStats new_latent_stats;
+    std::optional<PackedLatentSet> packed_new;
+    data::Dataset new_latents;
+    if (method.replay_stream) {
+      packed_new.emplace(net, new_rescaled, config.insertion_layer, policy, method.batch_size,
+                         &new_latent_stats);
+    } else {
+      new_latents = snn::frozen_latents(net, new_rescaled, config.insertion_layer, policy,
+                                        method.batch_size, &new_latent_stats);
+    }
+
     // CL phase for this task (Alg. 1 lines 21–33 against the current buffer).
     snn::AdamOptimizer optimizer;
     for (std::size_t epoch = 0; epoch < config.epochs_per_task; ++epoch) {
@@ -148,6 +138,7 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
       opts.policy = policy;
       opts.shuffle_seed = seed_rng();
       opts.prefetch = method.prefetch ? 1 : 0;
+      task_stats.add(new_latent_stats);
       std::vector<snn::EpochRecord> history;
       if (method.replay_stream) {
         // Streamed replay: same draw (same Rng stream) and same training
@@ -155,8 +146,7 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
         // New-task latents stream too: PackedLatentSet stores each latent
         // raster AER- or bit-packed and decodes into a scratch slot on
         // demand, so epoch assembly never holds either half densely.
-        PackedLatentSet latents(net, new_rescaled, config.insertion_layer, policy,
-                                method.batch_size, &task_stats);
+        PackedLatentSet& latents = *packed_new;
         const std::size_t new_count = latents.size();
         const std::size_t draw = method.replay_samples_per_epoch > 0
                                      ? method.replay_samples_per_epoch
@@ -174,8 +164,7 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
         }
         history = snn::train_supervised(net, source, optimizer, opts);
       } else {
-        data::Dataset mixed = to_latents(net, new_rescaled, config.insertion_layer, policy,
-                                         method.batch_size, &task_stats);
+        data::Dataset mixed = new_latents;
         const std::size_t new_count = mixed.size();
         std::vector<std::size_t> drawn;
         if (importance_feedback) {
@@ -201,12 +190,14 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     }
 
     // Record the just-learned class into the buffer (on-device latents).
+    // `keep` is its own inference: A_new's cached latents were computed in
+    // different blocks, which the adaptive threshold would see.
     {
       data::Dataset keep = data::take_per_class(
           new_rescaled, std::span<const std::int32_t>(&row.class_id, 1),
           config.replay_per_new_class);
-      for (const auto& s : to_latents(net, keep, config.insertion_layer, policy,
-                                      method.batch_size, &task_stats)) {
+      for (const auto& s : snn::frozen_latents(net, keep, config.insertion_layer, policy,
+                                               method.batch_size, &task_stats)) {
         buffer.add(s.raster, s.label);
       }
     }
@@ -220,10 +211,14 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     result.total_energy_uj += row.energy_uj;
 
     // Evaluation: base classes + every task seen so far.
-    row.acc_base = accuracy_at(net, tasks.pretrain_test, method);
+    row.acc_base = metrics::evaluate_prepared(net, base_test);
     double learned_sum = 0.0;
     for (std::size_t seen = 0; seen <= task; ++seen) {
-      const double acc = accuracy_at(net, tasks.task_test[seen], method);
+      if (!task_tests[seen]) {
+        task_tests[seen] = metrics::prepare_test_set(net, tasks.task_test[seen], eval_settings,
+                                                     config.insertion_layer);
+      }
+      const double acc = metrics::evaluate_prepared(net, *task_tests[seen]);
       learned_sum += acc;
       if (seen == task) row.acc_current = acc;
     }

@@ -135,4 +135,38 @@ double evaluate(const SnnNetwork& net, const SampleSource& source, std::size_t i
   return static_cast<double>(correct) / static_cast<double>(source.size);
 }
 
+void for_each_latent(const SnnNetwork& net, const data::Dataset& dataset, std::size_t insertion,
+                     const ThresholdPolicy& policy, std::size_t batch_size, SpikeOpStats* stats,
+                     const LatentSink& sink) {
+  if (insertion == 0) {
+    for (const data::Sample& s : dataset) sink(data::SpikeRaster(s.raster), s.label);
+    return;
+  }
+  R4NCL_CHECK(batch_size > 0, "batch_size must be positive");
+  std::vector<std::size_t> indices;
+  indices.reserve(batch_size);
+  for (std::size_t lo = 0; lo < dataset.size(); lo += batch_size) {
+    const std::size_t hi = std::min(dataset.size(), lo + batch_size);
+    indices.clear();
+    for (std::size_t i = lo; i < hi; ++i) indices.push_back(i);
+    const Tensor latent =
+        net.run_hidden(data::make_batch(dataset, indices), 0, insertion, policy, stats);
+    for (std::size_t b = 0; b < indices.size(); ++b) {
+      sink(data::batch_to_raster(latent, b), dataset[lo + b].label);
+    }
+  }
+}
+
+data::Dataset frozen_latents(const SnnNetwork& net, const data::Dataset& dataset,
+                             std::size_t insertion, const ThresholdPolicy& policy,
+                             std::size_t batch_size, SpikeOpStats* stats) {
+  data::Dataset out;
+  out.reserve(dataset.size());
+  for_each_latent(net, dataset, insertion, policy, batch_size, stats,
+                  [&out](data::SpikeRaster&& latent, std::int32_t label) {
+                    out.push_back({std::move(latent), label});
+                  });
+  return out;
+}
+
 }  // namespace r4ncl::snn

@@ -3,7 +3,8 @@
 // train_supervised drives the pre-training phase (Alg. 1 lines 1–5) and is
 // reused by the continual-learning trainers in src/core; evaluate() computes
 // Top-1 accuracy from any insertion point, so latent datasets can be scored
-// with the same code path as raw input data.
+// with the same code path as raw input data.  for_each_latent() is the one
+// frozen-prefix inference loop that produces those latent datasets.
 #pragma once
 
 #include <cstdint>
@@ -95,5 +96,24 @@ double evaluate(const SnnNetwork& net, const SampleSource& source,
                 std::size_t insertion_layer = 0,
                 const ThresholdPolicy& policy = ThresholdPolicy::fixed(1.0f),
                 std::size_t batch_size = 32, SpikeOpStats* stats = nullptr);
+
+/// Receives one latent sample of for_each_latent(), in dataset order.
+using LatentSink = std::function<void(data::SpikeRaster&& latent, std::int32_t label)>;
+
+/// Runs the frozen prefix [0, insertion) of `net` over `dataset` in
+/// contiguous batch_size blocks and hands each sample's latent (the spike
+/// cube entering hidden layer `insertion`) to `sink`.  Under the adaptive
+/// threshold a latent depends on every sample of its block, so latents are
+/// reproducible only under the same blocking.  `stats` receives the
+/// inference work.  With insertion == 0 the raw rasters are passed through
+/// and nothing is charged.
+void for_each_latent(const SnnNetwork& net, const data::Dataset& dataset, std::size_t insertion,
+                     const ThresholdPolicy& policy, std::size_t batch_size, SpikeOpStats* stats,
+                     const LatentSink& sink);
+
+/// for_each_latent() collected into a dataset.
+data::Dataset frozen_latents(const SnnNetwork& net, const data::Dataset& dataset,
+                             std::size_t insertion, const ThresholdPolicy& policy,
+                             std::size_t batch_size, SpikeOpStats* stats = nullptr);
 
 }  // namespace r4ncl::snn
