@@ -88,6 +88,8 @@ struct BatchEventList {
     return offsets[(t + 1) * batch] - offsets[t * batch];
   }
   [[nodiscard]] std::size_t num_events() const noexcept { return channel.size(); }
+
+  bool operator==(const BatchEventList&) const = default;
 };
 
 /// Builds the event list of a dense (T × B × C) float batch in one scan.

@@ -14,6 +14,39 @@ namespace {
 constexpr std::uint32_t kLayerTag = make_tag("LAYR");
 
 std::atomic<SparseForward> g_sparse_forward{SparseForward::kAuto};
+
+/// Packs the spike indices a caching forward_sparse recorded into the t-major
+/// CSR event list of its output cube.  Batch row b's indices sit in
+/// idx[b·T·N, …), timestep after timestep; count[t·B + b] is row (t, b)'s
+/// spike count.
+std::shared_ptr<const compress::BatchEventList> pack_spike_rows(
+    std::size_t T, std::size_t B, std::size_t N, const std::uint32_t* idx,
+    const std::vector<std::uint32_t>& count) {
+  auto out = std::make_shared<compress::BatchEventList>();
+  out->timesteps = T;
+  out->batch = B;
+  out->channels = N;
+  const std::size_t rows = T * B;
+  out->offsets.resize(rows + 1);
+  std::uint32_t cursor = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    out->offsets[r] = cursor;
+    cursor += count[r];
+  }
+  out->offsets[rows] = cursor;
+  out->channel.resize(cursor);
+  out->value.assign(cursor, 1.0f);
+  // A copy of the spikes alone — too little work to be worth a dispatch.
+  for (std::size_t b = 0; b < B; ++b) {
+    const std::uint32_t* src = idx + b * T * N;
+    for (std::size_t t = 0; t < T; ++t) {
+      const std::uint32_t n = count[t * B + b];
+      std::copy(src, src + n, out->channel.data() + out->offsets[t * B + b]);
+      src += n;
+    }
+  }
+  return out;
+}
 }  // namespace
 
 void set_sparse_forward(SparseForward mode) noexcept {
@@ -44,17 +77,34 @@ RecurrentLifLayer::RecurrentLifLayer(std::size_t n_in, std::size_t n_out, const 
 
 Tensor RecurrentLifLayer::forward(const Tensor& x, SpikeMode mode,
                                   const ThresholdPolicy& policy, LayerCache* cache,
-                                  SpikeOpStats* stats) const {
+                                  SpikeOpStats* stats,
+                                  std::shared_ptr<const compress::BatchEventList> x_events) const {
   R4NCL_CHECK(x.rank() == 3, "input must be (T × B × n_in)");
   R4NCL_CHECK(x.dim(2) == n_in_, "input feature dim " << x.dim(2) << " != " << n_in_);
+  if (x_events != nullptr) {
+    R4NCL_CHECK(x_events->timesteps == x.dim(0) && x_events->batch == x.dim(1) &&
+                    x_events->channels == n_in_,
+                "x_events does not describe x");
+  }
   // Hard mode goes event-driven: one scan of x builds the active-channel
   // lists (the same traffic the dense path's per-timestep count_nonzero
   // stats rescan used to cost), then every timestep does O(events·n_out)
-  // work.  Soft mode (gradcheck) keeps the dense kernels.
-  if (mode == SpikeMode::kHard && sparse_forward() != SparseForward::kNever) {
-    return forward_sparse(compress::events_from_batch(x), policy, cache, stats);
+  // work.  Soft mode (gradcheck) keeps the dense kernels.  A caching pass
+  // needs x's list either way: backward scatters dW_ff from it.
+  const bool sparse = mode == SpikeMode::kHard && sparse_forward() != SparseForward::kNever;
+  if (x_events == nullptr && (sparse || cache != nullptr)) {
+    x_events = std::make_shared<const compress::BatchEventList>(compress::events_from_batch(x));
   }
-  return forward_dense(x, mode, policy, cache, stats);
+  Tensor out = sparse ? forward_sparse(*x_events, policy, cache, stats)
+                      : forward_dense(x, mode, policy, cache, stats);
+  if (cache != nullptr) {
+    cache->in_events = std::move(x_events);
+    if (!sparse) {
+      cache->out_events =
+          std::make_shared<const compress::BatchEventList>(compress::events_from_batch(out));
+    }
+  }
+  return out;
 }
 
 Tensor RecurrentLifLayer::forward_events(const compress::BatchEventList& events, SpikeMode mode,
@@ -76,13 +126,40 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
   Tensor current(B, n_out_);  // I(t)
   if (cache != nullptr) {
     cache->membrane = Tensor(T, B, n_out_);
-    cache->spikes = Tensor(T, B, n_out_);
     cache->theta.assign(T, policy.fixed_value);
   }
 
   ThresholdState th(policy);
   float theta_prev = policy.fixed_value;
   const std::size_t bn = B * n_out_;
+
+  // Output spikes double as the next step's recurrent *events*: each row
+  // records its spike indices while it computes them, so the recurrent
+  // matmul is event-driven too (hard-mode spikes are exactly 1.0f, and the
+  // indices are ascending — the dense kernel's accumulation order).  A
+  // caching pass keeps every step's indices (row b appends to its own T·N
+  // slice) and packs them into LayerCache::out_events; otherwise one N-slot
+  // slice per row is reused step after step.
+  const bool record = cache != nullptr;
+  const std::size_t slice = record ? T * n_out_ : n_out_;
+  std::unique_ptr<std::uint32_t[]> spike_idx;
+  if (lif_.recurrent || record) {
+    spike_idx = std::make_unique_for_overwrite<std::uint32_t[]>(B * slice);
+  }
+  std::vector<std::uint32_t> step_count(record ? T * B : 0);  // row (t, b) at t·B + b
+
+  // Everything the inner loops touch is hoisted into locals: member and
+  // vector accesses through `this`/`events` would otherwise defeat the
+  // auto-vectorizer (a float store could alias lif_.beta).
+  const std::size_t N = n_out_;
+  const float beta = lif_.beta;
+  const bool recurrent = lif_.recurrent;
+  const float* wff = w_ff_.raw();
+  const float* wrec = recurrent ? w_rec_.raw() : nullptr;
+  const std::uint32_t* offs = events.offsets.data();
+  const std::uint32_t* chan = events.channel.data();
+  const float* val = events.value.data();
+  const bool unit = events.unit_values;
 
   // Fixed threshold: θ(t) never depends on the batch's spike counts, so the
   // rows are fully independent — each batch row runs its entire T-step
@@ -91,23 +168,10 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
   // sequence is exactly the per-timestep loop below, so the output is
   // bit-identical to it (and to the dense kernel) at any thread count.
   if (policy.mode == ThresholdMode::kFixed) {
-    // Everything the inner loops touch is hoisted into locals: member and
-    // vector accesses through `this`/`events` would otherwise defeat the
-    // auto-vectorizer (a float store could alias lif_.beta).
     const float theta = policy.fixed_value;
-    const std::size_t N = n_out_;
-    const float beta = lif_.beta;
-    const bool recurrent = lif_.recurrent;
-    const float* wff = w_ff_.raw();
-    const float* wrec = recurrent ? w_rec_.raw() : nullptr;
-    const std::uint32_t* offs = events.offsets.data();
-    const std::uint32_t* chan = events.channel.data();
-    const float* val = events.value.data();
-    const bool unit = events.unit_values;
     float* outp = out.raw();
-    float* cmem = cache != nullptr ? cache->membrane.raw() : nullptr;
-    float* cspk = cache != nullptr ? cache->spikes.raw() : nullptr;
-    std::vector<std::uint32_t> rec_idx(recurrent ? bn : 0);
+    float* cmem = record ? cache->membrane.raw() : nullptr;
+    std::uint32_t* counts = step_count.data();
     std::vector<std::size_t> row_total(B, 0);  // spikes over all T
     std::vector<std::size_t> row_last(B, 0);   // spikes at t = T−1
     const std::vector<float> zero_row(N, 0.0f);  // S(−1)
@@ -116,7 +180,8 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
         [&](std::size_t b) {
           float* vrow = v.raw() + b * N;
           float* crow = current.raw() + b * N;
-          std::uint32_t* ridx = recurrent ? rec_idx.data() + b * N : nullptr;
+          std::uint32_t* row_idx = spike_idx != nullptr ? spike_idx.get() + b * slice : nullptr;
+          const std::uint32_t* prev_idx = row_idx;  // S(t−1)'s spike indices
           std::uint32_t rn = 0;
           std::size_t total = 0, last = 0;
           for (std::size_t t = 0; t < T; ++t) {
@@ -136,7 +201,7 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
             }
             if (recurrent && t > 0) {
               for (std::uint32_t e = 0; e < rn; ++e) {
-                const float* wrow = wrec + ridx[e] * N;
+                const float* wrow = wrec + prev_idx[e] * N;
                 for (std::size_t j = 0; j < N; ++j) crow[j] += wrow[j];
               }
             }
@@ -154,25 +219,28 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
             // Spike-index/count scan, kept out of the arithmetic loop above
             // so its data-dependent branch cannot block vectorization.
             std::size_t count = 0;
-            if (ridx != nullptr) {
+            std::uint32_t* cur_idx = record ? row_idx + total : row_idx;
+            if (cur_idx != nullptr) {
               for (std::size_t j = 0; j < N; ++j) {
-                if (srow_out[j] != 0.0f) ridx[count++] = static_cast<std::uint32_t>(j);
+                if (srow_out[j] != 0.0f) cur_idx[count++] = static_cast<std::uint32_t>(j);
               }
             } else {
               for (std::size_t j = 0; j < N; ++j) count += srow_out[j] != 0.0f ? 1u : 0u;
             }
+            prev_idx = cur_idx;
             rn = static_cast<std::uint32_t>(count);
             total += count;
             if (t + 1 == T) last = count;
-            if (cmem != nullptr) {
+            if (record) {
+              counts[t * B + b] = static_cast<std::uint32_t>(count);
               std::copy(vrow, vrow + N, cmem + (t * B + b) * N);
-              std::copy(srow_out, srow_out + N, cspk + (t * B + b) * N);
             }
           }
           row_total[b] = total;
           row_last[b] = last;
         },
         T * n_out_ * 4);
+    if (record) cache->out_events = pack_spike_rows(T, B, N, spike_idx.get(), step_count);
     if (stats != nullptr) {
       // Fixed-order reduction over rows (integer sums, but keep row order
       // anyway).  ff synops = every event × n_out; recurrent synops at step
@@ -193,12 +261,10 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
     return out;
   }
 
-  // Output spikes double as the next step's recurrent *events*: each row
-  // records its spike indices while it computes them, so the recurrent
-  // matmul is event-driven too (hard-mode spikes are exactly 1.0f, and the
-  // indices are ascending — the dense kernel's accumulation order).
-  std::vector<std::uint32_t> rec_idx(lif_.recurrent ? bn : 0);
-  std::vector<std::uint32_t> rec_len(lif_.recurrent ? B : 0, 0);
+  // Per row: the previous step's spike-index count and, when recording, the
+  // number of indices recorded so far (the previous step's indices end there).
+  std::vector<std::uint32_t> rec_len(B, 0);
+  std::vector<std::size_t> row_fill(record ? B : 0, 0);
   std::vector<std::size_t> row_spikes(B, 0);
   std::size_t prev_spike_total = 0;  // spikes at t−1 = this step's recurrent events
 
@@ -212,50 +278,63 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
     parallel_for(
         0, B,
         [&](std::size_t b) {
-          float* crow = current.raw() + b * n_out_;
-          std::fill(crow, crow + n_out_, 0.0f);
+          // Locals, as in the fixed-threshold path: float stores through
+          // the row pointers could otherwise alias the operands.
+          const float th_prev = theta_prev, th_t = theta_t;
+          float* crow = current.raw() + b * N;
+          std::fill(crow, crow + N, 0.0f);
           // I(t) = X(t)·W_ff: accumulate the weight row of every active
           // input channel, ascending — bit-identical to kernels::matmul's
           // zero-skipping k loop over the dense slab.
-          const std::size_t lo = events.row_begin(t, b), hi = events.row_end(t, b);
-          if (events.unit_values) {
+          const std::size_t lo = offs[t * B + b], hi = offs[t * B + b + 1];
+          if (unit) {
             for (std::size_t e = lo; e < hi; ++e) {
-              const float* wrow = w_ff_.raw() + events.channel[e] * n_out_;
-              for (std::size_t j = 0; j < n_out_; ++j) crow[j] += wrow[j];
+              const float* wrow = wff + chan[e] * N;
+              for (std::size_t j = 0; j < N; ++j) crow[j] += wrow[j];
             }
           } else {
             for (std::size_t e = lo; e < hi; ++e) {
-              const float av = events.value[e];
-              const float* wrow = w_ff_.raw() + events.channel[e] * n_out_;
-              for (std::size_t j = 0; j < n_out_; ++j) crow[j] += av * wrow[j];
+              const float av = val[e];
+              const float* wrow = wff + chan[e] * N;
+              for (std::size_t j = 0; j < N; ++j) crow[j] += av * wrow[j];
             }
           }
+          std::uint32_t* row_idx = spike_idx != nullptr ? spike_idx.get() + b * slice : nullptr;
+          const std::size_t fill = record ? row_fill[b] : 0;
           // I(t) += S(t−1)·W_rec over last step's recorded spike indices.
-          if (lif_.recurrent && t > 0) {
-            const std::uint32_t* ridx = rec_idx.data() + b * n_out_;
+          if (recurrent && t > 0) {
+            const std::uint32_t* ridx = row_idx + (fill - (record ? rec_len[b] : 0));
             const std::uint32_t rn = rec_len[b];
             for (std::uint32_t e = 0; e < rn; ++e) {
-              const float* wrow = w_rec_.raw() + ridx[e] * n_out_;
-              for (std::size_t j = 0; j < n_out_; ++j) crow[j] += wrow[j];
+              const float* wrow = wrec + ridx[e] * N;
+              for (std::size_t j = 0; j < N; ++j) crow[j] += wrow[j];
             }
           }
-          // V(t) = β·V(t−1) − θ(t−1)·S(t−1) + I(t);  S(t) = Θ(V(t) − θ(t))
-          float* vrow = v.raw() + b * n_out_;
-          const float* srow_prev = prev_s.raw() + b * n_out_;
-          float* srow_out = out.slab(t).data() + b * n_out_;
-          std::uint32_t* ridx_out = lif_.recurrent ? rec_idx.data() + b * n_out_ : nullptr;
-          std::size_t count = 0;
-          for (std::size_t j = 0; j < n_out_; ++j) {
-            const float vt = lif_.beta * vrow[j] - theta_prev * srow_prev[j] + crow[j];
+          // V(t) = β·V(t−1) − θ(t−1)·S(t−1) + I(t);  S(t) = Θ(V(t) − θ(t)),
+          // branch-free so it vectorizes; the select equals hard_spike
+          // exactly.  The spike-index scan runs as a separate loop.
+          float* vrow = v.raw() + b * N;
+          const float* srow_prev = prev_s.raw() + b * N;
+          float* srow_out = out.slab(t).data() + b * N;
+          for (std::size_t j = 0; j < N; ++j) {
+            const float vt = beta * vrow[j] - th_prev * srow_prev[j] + crow[j];
             vrow[j] = vt;
-            const float s = hard_spike(vt - theta_t);
-            srow_out[j] = s;
-            if (s != 0.0f) {
-              if (ridx_out != nullptr) ridx_out[count] = static_cast<std::uint32_t>(j);
-              ++count;
-            }
+            srow_out[j] = vt - th_t > 0.0f ? 1.0f : 0.0f;
           }
-          if (lif_.recurrent) rec_len[b] = static_cast<std::uint32_t>(count);
+          std::size_t count = 0;
+          if (row_idx != nullptr) {
+            std::uint32_t* ridx_out = row_idx + fill;
+            for (std::size_t j = 0; j < N; ++j) {
+              if (srow_out[j] != 0.0f) ridx_out[count++] = static_cast<std::uint32_t>(j);
+            }
+          } else {
+            for (std::size_t j = 0; j < N; ++j) count += srow_out[j] != 0.0f ? 1u : 0u;
+          }
+          rec_len[b] = static_cast<std::uint32_t>(count);
+          if (record) {
+            row_fill[b] += count;
+            step_count[t * B + b] = static_cast<std::uint32_t>(count);
+          }
           row_spikes[b] = count;
         },
         n_out_ * 4);
@@ -267,9 +346,8 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
     th.observe(static_cast<int>(t), spike_count);
 
     const float* sp_out = out.slab(t).data();
-    if (cache != nullptr) {
+    if (record) {
       std::copy(v.raw(), v.raw() + bn, cache->membrane.slab(t).data());
-      std::copy(sp_out, sp_out + bn, cache->spikes.slab(t).data());
       cache->theta[t] = theta_t;
     }
     if (stats != nullptr) {
@@ -288,6 +366,7 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
     theta_prev = theta_t;
     prev_spike_total = spike_count;
   }
+  if (record) cache->out_events = pack_spike_rows(T, B, n_out_, spike_idx.get(), step_count);
   return out;
 }
 
@@ -302,7 +381,6 @@ Tensor RecurrentLifLayer::forward_dense(const Tensor& x, SpikeMode mode,
   Tensor current(B, n_out_);  // I(t)
   if (cache != nullptr) {
     cache->membrane = Tensor(T, B, n_out_);
-    cache->spikes = Tensor(T, B, n_out_);
     cache->theta.assign(T, policy.fixed_value);
   }
 
@@ -337,7 +415,6 @@ Tensor RecurrentLifLayer::forward_dense(const Tensor& x, SpikeMode mode,
 
     if (cache != nullptr) {
       std::copy(vp, vp + bn, cache->membrane.slab(t).data());
-      std::copy(sp_out, sp_out + bn, cache->spikes.slab(t).data());
       cache->theta[t] = theta_t;
     }
     if (stats != nullptr) {
@@ -361,17 +438,37 @@ Tensor RecurrentLifLayer::forward_dense(const Tensor& x, SpikeMode mode,
 void RecurrentLifLayer::backward(const Tensor& x, const LayerCache& cache, const Tensor& d_out,
                                  Tensor* d_in, SpikeOpStats* stats) {
   R4NCL_CHECK(x.rank() == 3 && d_out.rank() == 3, "x and d_out must be 3-D");
-  const std::size_t T = x.dim(0), B = x.dim(1);
-  R4NCL_CHECK(d_out.dim(0) == T && d_out.dim(1) == B && d_out.dim(2) == n_out_,
+  const std::size_t T = x.dim(0), B = x.dim(1), N = n_out_;
+  R4NCL_CHECK(d_out.dim(0) == T && d_out.dim(1) == B && d_out.dim(2) == N,
               "d_out shape mismatch");
-  R4NCL_CHECK(cache.membrane.dim(0) == T, "cache does not match this pass");
+  R4NCL_CHECK(cache.membrane.rank() == 3 && cache.membrane.dim(0) == T,
+              "cache does not match this pass");
+  R4NCL_CHECK(cache.membrane.dim(1) == B && cache.membrane.dim(2) == N,
+              "cache batch " << cache.membrane.dim(1) << " != input batch " << B);
+  R4NCL_CHECK(cache.theta.size() == T,
+              "cache holds " << cache.theta.size() << " thresholds for " << T << " timesteps");
+  const auto matches = [&](const std::shared_ptr<const compress::BatchEventList>& ev,
+                           std::size_t channels) {
+    return ev != nullptr && ev->timesteps == T && ev->batch == B && ev->channels == channels;
+  };
+  R4NCL_CHECK(matches(cache.in_events, n_in_), "cached input events do not match x");
+  R4NCL_CHECK(matches(cache.out_events, N), "cached output events do not match d_out");
   if (d_in != nullptr) {
     R4NCL_CHECK(d_in->same_shape(x), "d_in shape mismatch");
   }
+  const compress::BatchEventList& in_ev = *cache.in_events;
+  const compress::BatchEventList& out_ev = *cache.out_events;
 
-  Tensor d_v(B, n_out_);       // ∂L/∂V(t+1), carried across iterations
-  Tensor d_s_rec(B, n_out_);   // recurrent + reset contribution to ∂L/∂S(t)
-  Tensor d_s_total(B, n_out_); // scratch
+  // Wᵀ once per call: dX = dV·W_ffᵀ and dS_rec = dV·W_recᵀ become
+  // unit-stride row updates over these copies (see file comment).
+  std::vector<float> w_ff_t(d_in != nullptr ? n_in_ * N : 0);
+  if (d_in != nullptr) kernels::transpose(w_ff_.raw(), n_in_, N, w_ff_t.data());
+  std::vector<float> w_rec_t(lif_.recurrent && T > 1 ? N * N : 0);
+  if (!w_rec_t.empty()) kernels::transpose(w_rec_.raw(), N, N, w_rec_t.data());
+
+  Tensor d_v(B, N);       // ∂L/∂V(t+1), carried across iterations
+  Tensor d_s_rec(B, N);   // recurrent + reset contribution to ∂L/∂S(t)
+  Tensor d_s_total(B, N); // scratch
   std::uint64_t bwd_ops = 0;
 
   for (std::size_t ti = T; ti-- > 0;) {
@@ -387,35 +484,40 @@ void RecurrentLifLayer::backward(const Tensor& x, const LayerCache& cache, const
     parallel_for(
         0, B,
         [&](std::size_t b) {
-          const std::size_t lo = b * n_out_, hi = lo + n_out_;
+          const std::size_t lo = b * N, hi = lo + N;
           for (std::size_t i = lo; i < hi; ++i) ds[i] = up[i] + rec[i];
           for (std::size_t i = lo; i < hi; ++i) {
             const float u = vcache[i] - theta_t;
             dv[i] = ds[i] * surrogate_grad(u, surrogate_) + lif_.beta * dv[i];
           }
         },
-        n_out_ * 2);
+        N * 2);
 
-    // Weight gradients: dW_ff += X(t)ᵀ·dV(t); dW_rec += S(t−1)ᵀ·dV(t).
-    kernels::matmul_at_b_accum(x.slab(ti).data(), B, n_in_, dv, n_out_, d_w_ff_.raw());
-    bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * n_out_;
+    // Weight gradients, scattered from the cached event lists:
+    // dW_ff += X(t)ᵀ·dV(t); dW_rec += S(t−1)ᵀ·dV(t).  backward_synops keeps
+    // charging the dense B·n_in·n_out model per term.
+    kernels::csr_at_b_accum(in_ev.offsets.data() + ti * B, in_ev.channel.data(),
+                            in_ev.unit_values ? nullptr : in_ev.value.data(), B, n_in_, dv, N,
+                            d_w_ff_.raw());
+    bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * N;
     if (lif_.recurrent && ti > 0) {
-      kernels::matmul_at_b_accum(cache.spikes.slab(ti - 1).data(), B, n_out_, dv, n_out_,
-                                 d_w_rec_.raw());
-      bwd_ops += static_cast<std::uint64_t>(B) * n_out_ * n_out_;
+      kernels::csr_at_b_accum(out_ev.offsets.data() + (ti - 1) * B, out_ev.channel.data(),
+                              out_ev.unit_values ? nullptr : out_ev.value.data(), B, N, dv, N,
+                              d_w_rec_.raw());
+      bwd_ops += static_cast<std::uint64_t>(B) * N * N;
     }
 
     // Input gradient: dX(t) = dV(t)·W_ffᵀ.
     if (d_in != nullptr) {
-      kernels::matmul_a_bt(dv, B, n_out_, w_ff_.raw(), n_in_, d_in->slab(ti).data(), false);
-      bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * n_out_;
+      kernels::matmul_dense(dv, B, N, w_ff_t.data(), n_in_, d_in->slab(ti).data());
+      bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * N;
     }
 
     // Contribution to ∂L/∂S(t−1): through W_rec and (optionally) the reset.
     if (ti > 0) {
       if (lif_.recurrent) {
-        kernels::matmul_a_bt(dv, B, n_out_, w_rec_.raw(), n_out_, d_s_rec.raw(), false);
-        bwd_ops += static_cast<std::uint64_t>(B) * n_out_ * n_out_;
+        kernels::matmul_dense(dv, B, N, w_rec_t.data(), N, d_s_rec.raw());
+        bwd_ops += static_cast<std::uint64_t>(B) * N * N;
       } else {
         d_s_rec.zero();
       }
@@ -426,10 +528,10 @@ void RecurrentLifLayer::backward(const Tensor& x, const LayerCache& cache, const
         parallel_for(
             0, B,
             [&](std::size_t b) {
-              const std::size_t lo = b * n_out_, hi = lo + n_out_;
+              const std::size_t lo = b * N, hi = lo + N;
               for (std::size_t i = lo; i < hi; ++i) dsr[i] -= theta_prev * dv[i];
             },
-            n_out_);
+            N);
       }
     }
   }

@@ -22,9 +22,25 @@
 // batch-parallel over B rows (disjoint writes, per-row spike counts reduced
 // in fixed row order — threads=N ≡ threads=1), and synop stats fall out of
 // the event list instead of a per-timestep count_nonzero rescan.
+//
+// Backward (both modes): every spike list is built once per training pass.
+// A caching forward keeps its input event list and records its own output
+// spikes as an event list (the CSR it already scans for the recurrent
+// step), and the next layer's forward takes that list as its input list.
+// BPTT then reuses both: dW_ff += X(t)ᵀ·dV(t) and dW_rec += S(t−1)ᵀ·dV(t)
+// scatter dV rows into the weight rows of the active channels
+// (kernels::csr_at_b_accum), and dX = dV·W_ffᵀ, dS_rec = dV·W_recᵀ run as
+// unit-stride row updates against a transpose of each weight made once per
+// backward call (kernels::matmul_dense).  Every gradient element adds the
+// same terms in the same order as the dense kernels did — weight gradients
+// ascending batch row within a timestep, input gradients ascending output
+// unit from 0 — so gradients are bit-identical to the dense formulation at
+// any thread count (parallel splits are over disjoint output rows only).
+// Soft mode builds its lists from the dense cubes, so backward has one path.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "compress/aer.hpp"
@@ -86,11 +102,21 @@ struct SpikeOpStats {
   }
 };
 
-/// Per-pass tensors retained for the backward pass.
+/// Per-pass state retained for the backward pass.
 struct LayerCache {
   Tensor membrane;           // V, (T × B × N)
-  Tensor spikes;             // S, (T × B × N)
   std::vector<float> theta;  // θ(t), one per timestep
+  /// The pass input x as per-timestep active-channel lists — the list the
+  /// event-driven forward ran from, reused for dW_ff += X(t)ᵀ·dV(t).
+  /// Shared, because in a training step it is the previous layer's
+  /// out_events.
+  std::shared_ptr<const compress::BatchEventList> in_events;
+  /// The pass output S as per-timestep active-channel lists (ascending
+  /// spike indices, all values 1.0f in hard mode), recorded while the
+  /// forward emits the spikes.  Feeds dW_rec += S(t−1)ᵀ·dV(t) and the next
+  /// layer's forward and weight gradient.  Equal to
+  /// compress::events_from_batch of the output cube.
+  std::shared_ptr<const compress::BatchEventList> out_events;
 };
 
 /// One recurrent spiking layer (n_in → n_out).
@@ -112,20 +138,26 @@ class RecurrentLifLayer {
   /// backward pass needs.  `stats`, if non-null, accumulates event counts.
   /// Hard mode dispatches through the event-driven path (see file comment)
   /// unless set_sparse_forward(kNever); results are bit-identical either way.
+  /// `x_events`, when non-null, must be x's event list (e.g. the previous
+  /// layer's LayerCache::out_events); the pass then reuses it instead of
+  /// scanning x again.
   Tensor forward(const Tensor& x, SpikeMode mode, const ThresholdPolicy& policy,
-                 LayerCache* cache, SpikeOpStats* stats) const;
+                 LayerCache* cache, SpikeOpStats* stats,
+                 std::shared_ptr<const compress::BatchEventList> x_events = nullptr) const;
 
   /// Event-driven forward directly from per-timestep active-channel lists
   /// (e.g. built from AER samples via compress::events_from_aer) — no dense
   /// input cube exists at any point.  Bit-identical to forward() over the
-  /// equivalent dense cube.  Inference-only: backward() needs the dense x,
-  /// so `cache` capture is not offered here.
+  /// equivalent dense cube.  Inference-only (no `cache` capture); training
+  /// passes an event list to forward() alongside the dense x.
   Tensor forward_events(const compress::BatchEventList& events, SpikeMode mode,
                         const ThresholdPolicy& policy, SpikeOpStats* stats) const;
 
-  /// BPTT backward.  `x` must be the exact tensor passed to forward, `d_out`
-  /// is ∂L/∂S (T × B × n_out).  Accumulates weight gradients internally and,
-  /// when `d_in` is non-null, writes ∂L/∂X (same shape as x).
+  /// BPTT backward.  `x` must be the exact tensor passed to forward and
+  /// `cache` that pass's cache, `d_out` is ∂L/∂S (T × B × n_out).
+  /// Accumulates weight gradients internally and, when `d_in` is non-null,
+  /// writes ∂L/∂X (same shape as x).  backward_synops charges the dense
+  /// B·n_in·n_out model per gradient term, independent of spike counts.
   void backward(const Tensor& x, const LayerCache& cache, const Tensor& d_out, Tensor* d_in,
                 SpikeOpStats* stats);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "compress/aer.hpp"
 #include "tensor/ops.hpp"
 #include "util/error.hpp"
 
@@ -50,7 +51,7 @@ Tensor LeakyReadout::forward(const Tensor& x, SpikeOpStats* stats) const {
 }
 
 void LeakyReadout::backward(const Tensor& x, const Tensor& d_logits, Tensor* d_in,
-                            SpikeOpStats* stats) {
+                            SpikeOpStats* stats, const compress::BatchEventList* x_events) {
   R4NCL_CHECK(x.rank() == 3 && x.dim(2) == n_in_, "readout input shape mismatch");
   const std::size_t T = x.dim(0), B = x.dim(1);
   R4NCL_CHECK(d_logits.rank() == 2 && d_logits.rows() == B && d_logits.cols() == n_classes_,
@@ -58,6 +59,16 @@ void LeakyReadout::backward(const Tensor& x, const Tensor& d_logits, Tensor* d_i
   if (d_in != nullptr) {
     R4NCL_CHECK(d_in->same_shape(x), "d_in shape mismatch");
   }
+  compress::BatchEventList built;
+  if (x_events == nullptr) {
+    built = compress::events_from_batch(x);
+    x_events = &built;
+  }
+  R4NCL_CHECK(x_events->timesteps == T && x_events->batch == B && x_events->channels == n_in_,
+              "x_events does not describe x");
+  // Wᵀ once per call, so dX(t) = c(t)·Wᵀ runs as unit-stride row updates.
+  std::vector<float> w_t(d_in != nullptr ? n_in_ * n_classes_ : 0);
+  if (d_in != nullptr) kernels::transpose(w_.raw(), n_in_, n_classes_, w_t.data());
   // logits = (1/T)·Σ_t V(t) with V(t) = β V(t−1) + I(t)  ⇒
   // ∂L/∂I(t) = (1/T)·Σ_{t'≥t} β^{t'−t} ∂L/∂logits ≡ c(t), built backward:
   // c(T−1) = d_logits/T; c(t) = d_logits/T + β·c(t+1).
@@ -69,10 +80,13 @@ void LeakyReadout::backward(const Tensor& x, const Tensor& d_logits, Tensor* d_i
     float* cp = c.raw();
     const float* gp = d_logits.raw();
     for (std::size_t i = 0; i < bc; ++i) cp[i] = gp[i] * inv_t + beta_ * cp[i];
-    kernels::matmul_at_b_accum(x.slab(ti).data(), B, n_in_, cp, n_classes_, d_w_.raw());
+    // dW += X(t)ᵀ·c(t), scattered from x's event list.
+    kernels::csr_at_b_accum(x_events->offsets.data() + ti * B, x_events->channel.data(),
+                            x_events->unit_values ? nullptr : x_events->value.data(), B, n_in_,
+                            cp, n_classes_, d_w_.raw());
     bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * n_classes_;
     if (d_in != nullptr) {
-      kernels::matmul_a_bt(cp, B, n_classes_, w_.raw(), n_in_, d_in->slab(ti).data(), false);
+      kernels::matmul_dense(cp, B, n_classes_, w_t.data(), n_in_, d_in->slab(ti).data());
       bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * n_classes_;
     }
   }

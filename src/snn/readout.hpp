@@ -25,13 +25,18 @@ class LeakyReadout {
 
   [[nodiscard]] std::size_t n_in() const noexcept { return n_in_; }
   [[nodiscard]] std::size_t n_classes() const noexcept { return n_classes_; }
+  [[nodiscard]] float beta() const noexcept { return beta_; }
 
   /// Forward over a (T × B × n_in) spike cube → (B × classes) logits.
   Tensor forward(const Tensor& x, SpikeOpStats* stats) const;
 
   /// Backward from ∂L/∂logits; accumulates dW and, when non-null, writes
-  /// ∂L/∂X.  `x` must be the tensor passed to forward.
-  void backward(const Tensor& x, const Tensor& d_logits, Tensor* d_in, SpikeOpStats* stats);
+  /// ∂L/∂X.  `x` must be the tensor passed to forward.  dW is scattered from
+  /// x's event list: `x_events` when the caller holds it (the last hidden
+  /// layer's LayerCache::out_events), otherwise built from x.  Gradients are
+  /// bit-identical to the dense Xᵀ·c(t) / c(t)·Wᵀ formulation.
+  void backward(const Tensor& x, const Tensor& d_logits, Tensor* d_in, SpikeOpStats* stats,
+                const compress::BatchEventList* x_events = nullptr);
 
   void zero_grad();
 

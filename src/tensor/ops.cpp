@@ -29,37 +29,69 @@ void matmul(const float* a, std::size_t m, std::size_t k, const float* b, std::s
       k * n);
 }
 
-void matmul_at_b_accum(const float* a, std::size_t m, std::size_t k, const float* b,
-                       std::size_t n, float* c) {
-  parallel_for(
-      0, k,
-      [&](std::size_t kk) {
-        float* crow = c + kk * n;
-        for (std::size_t i = 0; i < m; ++i) {
-          const float av = a[i * k + kk];
-          if (av == 0.0f) continue;
-          const float* brow = b + i * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      },
-      m * n);
-}
-
-void matmul_a_bt(const float* a, std::size_t m, std::size_t n, const float* b, std::size_t k,
-                 float* c, bool accumulate) {
+void matmul_dense(const float* a, std::size_t m, std::size_t n, const float* b, std::size_t k,
+                  float* c) {
   parallel_for(
       0, m,
       [&](std::size_t i) {
         const float* arow = a + i * n;
         float* crow = c + i * k;
-        for (std::size_t j = 0; j < k; ++j) {
-          const float* brow = b + j * n;
-          float acc = 0.0f;
-          for (std::size_t t = 0; t < n; ++t) acc += arow[t] * brow[t];
-          crow[j] = accumulate ? crow[j] + acc : acc;
+        std::fill(crow, crow + k, 0.0f);
+        // Every term is added (no zero skip), so each element is exactly the
+        // ascending-t sum Σ_t a[i,t]·b[t,j]; the j loop is unit-stride and
+        // carries no dependence, so it vectorizes without reassociation.
+        for (std::size_t t = 0; t < n; ++t) {
+          const float av = arow[t];
+          const float* brow = b + t * k;
+          for (std::size_t j = 0; j < k; ++j) crow[j] += av * brow[j];
         }
       },
       n * k);
+}
+
+void transpose(const float* a, std::size_t rows, std::size_t cols, float* out) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t col = 0; col < cols; ++col) out[col * rows + r] = a[r * cols + col];
+  }
+}
+
+void csr_at_b_accum(const std::uint32_t* offsets, const std::uint32_t* channel,
+                    const float* value, std::size_t m, std::size_t k, const float* b,
+                    std::size_t n, float* c) {
+  // Each part owns a disjoint channel range (rows of c) and visits the CSR
+  // rows i ascending, so every element's op sequence is the same for any
+  // number of parts — threads=N ≡ threads=1.
+  const std::size_t parts =
+      std::max<std::size_t>(1, std::min(static_cast<std::size_t>(num_threads()), k));
+  const std::size_t work = static_cast<std::size_t>(offsets[m] - offsets[0]) * n;
+  parallel_for(
+      0, parts,
+      [&](std::size_t p) {
+        const auto lo_ch = static_cast<std::uint32_t>(k * p / parts);
+        const auto hi_ch = static_cast<std::uint32_t>(k * (p + 1) / parts);
+        for (std::size_t i = 0; i < m; ++i) {
+          const std::uint32_t* first = channel + offsets[i];
+          const std::uint32_t* last = channel + offsets[i + 1];
+          if (parts > 1) {
+            first = std::lower_bound(first, last, lo_ch);
+            last = std::lower_bound(first, last, hi_ch);
+          }
+          const float* brow = b + i * n;
+          if (value == nullptr) {
+            for (const std::uint32_t* e = first; e != last; ++e) {
+              float* crow = c + static_cast<std::size_t>(*e) * n;
+              for (std::size_t j = 0; j < n; ++j) crow[j] += brow[j];
+            }
+          } else {
+            for (const std::uint32_t* e = first; e != last; ++e) {
+              const float av = value[e - channel];
+              float* crow = c + static_cast<std::size_t>(*e) * n;
+              for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+            }
+          }
+        }
+      },
+      work / parts + 1);
 }
 
 std::size_t count_nonzero(const float* v, std::size_t n) noexcept {
@@ -85,26 +117,6 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
               "inner dims: a is " << m << "x" << k << ", b has " << b.rows() << " rows");
   R4NCL_CHECK(c.rows() == m && c.cols() == n, "c shape mismatch");
   kernels::matmul(a.raw(), m, k, b.raw(), n, c.raw(), accumulate);
-}
-
-void matmul_at_b_accum(const Tensor& a, const Tensor& b, Tensor& c) {
-  check_2d(a, "a");
-  check_2d(b, "b");
-  check_2d(c, "c");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  R4NCL_CHECK(b.rows() == m, "a and b must share rows");
-  R4NCL_CHECK(c.rows() == k && c.cols() == n, "c shape mismatch");
-  kernels::matmul_at_b_accum(a.raw(), m, k, b.raw(), n, c.raw());
-}
-
-void matmul_a_bt(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
-  check_2d(a, "a");
-  check_2d(b, "b");
-  check_2d(c, "c");
-  const std::size_t m = a.rows(), n = a.cols(), k = b.rows();
-  R4NCL_CHECK(b.cols() == n, "a and b must share cols");
-  R4NCL_CHECK(c.rows() == m && c.cols() == k, "c shape mismatch");
-  kernels::matmul_a_bt(a.raw(), m, n, b.raw(), k, c.raw(), accumulate);
 }
 
 void axpy(float alpha, const Tensor& x, Tensor& y) {

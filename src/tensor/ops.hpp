@@ -1,11 +1,17 @@
-// Dense kernels for the SNN forward/backward passes.
+// Kernels for the SNN forward/backward passes.
 //
 // Conventions: activations are (batch × features) matrices; weight matrices
-// are (in_features × out_features) so the forward pass is Y = X · W.  The two
-// transpose variants cover the BPTT gradient terms:
-//   dW += Xᵀ · dY   (matmul_at_b_accum)
-//   dX  = dY · Wᵀ   (matmul_a_bt)
-// Kernels parallelise over output rows via parallel_for.
+// are (in_features × out_features) so the forward pass is Y = X · W.  The BPTT
+// gradient terms use two loop shapes that vectorize without reassociating:
+//   dX  = dY · Wᵀ   (transpose W once, then matmul_dense: unit-stride row
+//                    updates c[i,:] += dy[i,t]·Wᵀ[t,:], ascending t — the
+//                    same per-element sum as the dot product Σ_t dy[i,t]·W[j,t])
+//   dW += Xᵀ · dY   (csr_at_b_accum: scattered from X's event list, each
+//                    c element summing its terms in ascending row order —
+//                    the order of a dense zero-skipping column scan)
+// Kernels split work over disjoint output rows via parallel_for, so every
+// element's op sequence, and therefore every result bit, is independent of
+// the thread count.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +31,24 @@ namespace kernels {
 void matmul(const float* a, std::size_t m, std::size_t k, const float* b, std::size_t n,
             float* c, bool accumulate);
 
-/// c[k×n] += aᵀ[k×m] · b[m×n] (a given as m×k).
-void matmul_at_b_accum(const float* a, std::size_t m, std::size_t k, const float* b,
-                       std::size_t n, float* c);
+/// c[m×k] = a[m×n] · b[n×k] without matmul's zero skip: each c element
+/// starts at 0 and adds all n products a[i,t]·b[t,j] in ascending t.  For
+/// dense gradient operands; with b = Wᵀ this is dX = dY·Wᵀ.
+void matmul_dense(const float* a, std::size_t m, std::size_t n, const float* b, std::size_t k,
+                  float* c);
 
-/// c[m×k] = a[m×n] · bᵀ[n×k] (b given as k×n); accumulates when `accumulate`.
-void matmul_a_bt(const float* a, std::size_t m, std::size_t n, const float* b, std::size_t k,
-                 float* c, bool accumulate);
+/// out[cols×rows] = aᵀ for a row-major a[rows×cols].
+void transpose(const float* a, std::size_t rows, std::size_t cols, float* out);
+
+/// c[k×n] += aᵀ · b[m×n] for an (m×k) a given as CSR rows: row i's non-zero
+/// entries are (channel[e], value[e]) for e in [offsets[i], offsets[i+1]),
+/// channels ascending (a compress::BatchEventList timestep slice).
+/// `value == nullptr` marks all-ones entries (spikes), added as b exactly.
+/// Every c element sums its terms in ascending i; c's rows are split across
+/// threads by disjoint channel ranges.
+void csr_at_b_accum(const std::uint32_t* offsets, const std::uint32_t* channel,
+                    const float* value, std::size_t m, std::size_t k, const float* b,
+                    std::size_t n, float* c);
 
 /// Number of non-zero entries in a float span (spike events).
 std::size_t count_nonzero(const float* v, std::size_t n) noexcept;
@@ -40,13 +57,6 @@ std::size_t count_nonzero(const float* v, std::size_t n) noexcept;
 
 /// C = A·B (A: m×k, B: k×n, C: m×n).  When accumulate is true, C += A·B.
 void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
-
-/// C += Aᵀ·B (A: m×k, B: m×n, C: k×n).  Always accumulates — this is the
-/// weight-gradient kernel, summed over timesteps.
-void matmul_at_b_accum(const Tensor& a, const Tensor& b, Tensor& c);
-
-/// C = A·Bᵀ (A: m×n, B: k×n, C: m×k).  When accumulate is true, C += A·Bᵀ.
-void matmul_a_bt(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
 
 /// y += alpha * x (elementwise over equally-shaped tensors).
 void axpy(float alpha, const Tensor& x, Tensor& y);

@@ -89,7 +89,11 @@ void expect_sparse_matches_dense(const snn::RecurrentLifLayer& layer, const Tens
       layer.forward(x, snn::SpikeMode::kHard, policy, &sparse_cache, &sparse_stats);
   EXPECT_TRUE(same_bits(dense, sparse));
   EXPECT_TRUE(same_bits(dense_cache.membrane, sparse_cache.membrane));
-  EXPECT_TRUE(same_bits(dense_cache.spikes, sparse_cache.spikes));
+  ASSERT_NE(dense_cache.out_events, nullptr);
+  ASSERT_NE(sparse_cache.out_events, nullptr);
+  EXPECT_TRUE(*dense_cache.out_events == *sparse_cache.out_events);
+  EXPECT_TRUE(*dense_cache.out_events == compress::events_from_batch(dense));
+  EXPECT_TRUE(*dense_cache.in_events == *sparse_cache.in_events);
   EXPECT_EQ(dense_cache.theta, sparse_cache.theta);
   expect_same_stats(dense_stats, sparse_stats);
 }

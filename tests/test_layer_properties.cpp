@@ -87,8 +87,10 @@ TEST_P(LifSweep, CacheMatchesReturnedSpikes) {
   LayerCache cache;
   const Tensor out =
       layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(theta()), &cache, nullptr);
-  ASSERT_TRUE(cache.spikes.same_shape(out));
-  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(cache.spikes(i), out(i));
+  ASSERT_NE(cache.out_events, nullptr);
+  ASSERT_NE(cache.in_events, nullptr);
+  EXPECT_TRUE(*cache.out_events == compress::events_from_batch(out));
+  EXPECT_TRUE(*cache.in_events == compress::events_from_batch(x));
   ASSERT_EQ(cache.theta.size(), 14u);
   for (float th : cache.theta) EXPECT_EQ(th, theta());
 }

@@ -38,7 +38,9 @@ void expect_tensor_near(const Tensor& a, const Tensor& b, float tol = 1e-4f) {
 }
 
 /// Parameterised over (m, k, n, sparsity) so the sparse-skip fast path is
-/// exercised alongside the dense path and both thread regimes.
+/// exercised alongside the dense path and both thread regimes.  The
+/// gradient-kernel cases (TransposeAAccumulate, TransposeB) of this sweep
+/// live in test_bptt_identity.cpp, next to the dense reference kernels.
 class MatmulSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::size_t, double>> {
 };
@@ -64,35 +66,6 @@ TEST_P(MatmulSweep, AccumulateAddsOnTop) {
   Tensor expected = naive_matmul(a, b);
   for (auto& v : expected.values()) v += 2.0f;
   expect_tensor_near(c, expected);
-}
-
-TEST_P(MatmulSweep, TransposeAAccumulate) {
-  const auto [m, k, n, sparsity] = GetParam();
-  Rng rng(m * 31 + k * 17 + n);
-  const Tensor a = random_tensor(m, k, rng, sparsity);  // (m×k): treated as Aᵀ·B
-  const Tensor b = random_tensor(m, n, rng);
-  Tensor c(k, n);
-  matmul_at_b_accum(a, b, c);
-  // Reference: Aᵀ (k×m) · B (m×n).
-  Tensor at(k, m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < k; ++j) at(j, i) = a(i, j);
-  }
-  expect_tensor_near(c, naive_matmul(at, b));
-}
-
-TEST_P(MatmulSweep, TransposeB) {
-  const auto [m, k, n, sparsity] = GetParam();
-  Rng rng(m * 13 + k * 7 + n * 3);
-  const Tensor a = random_tensor(m, n, rng, sparsity);
-  const Tensor b = random_tensor(k, n, rng);
-  Tensor c(m, k);
-  matmul_a_bt(a, b, c);
-  Tensor bt(n, k);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < n; ++j) bt(j, i) = b(i, j);
-  }
-  expect_tensor_near(c, naive_matmul(a, bt));
 }
 
 INSTANTIATE_TEST_SUITE_P(
