@@ -3,9 +3,7 @@
 #include <optional>
 
 #include "core/checkpoint.hpp"
-#include "core/latent_source.hpp"
-#include "core/replay_stream.hpp"
-#include "core/sharded_engine.hpp"
+#include "core/learn_task.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -47,28 +45,14 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
   Stopwatch total_watch;
   const metrics::EnergyModel energy_model(config.energy_params);
   const metrics::LatencyModel latency_model(config.latency_params);
-  const snn::ThresholdPolicy policy = method.policy();
 
   ClRunResult result;
   result.method_name = method.name;
   result.insertion_layer = config.insertion_layer;
 
-  // ---- Phase 1: network preparation (Alg. 1 lines 6–20) -----------------
   // A budget schedule sees this engine as a 1-task stream: the task-0
-  // capacity applies from preparation on.  The default const schedule leaves
-  // capacity_bytes untouched, so unscheduled runs stay bit-identical.
-  ReplayBufferConfig run_budget = method.replay_budget.with_run_seed(config.seed);
-  if (method.budget_schedule.active()) {
-    run_budget.capacity_bytes =
-        method.budget_schedule.capacity_for_task(0, 1, run_budget.capacity_bytes);
-  }
-  // The replay store is a ShardedReplayEngine; shards=1 (the default) is
-  // bit-identical to the LatentReplayBuffer this engine refactored out, so
-  // unsharded runs reproduce the pre-engine results byte for byte.
-  ShardedReplayEngine buffer(method.storage_codec, method.cl_timesteps, run_budget,
-                             method.replay_sharding);
-  const bool importance_feedback = method.use_replay && method.importance_feedback &&
-                                   is_importance_policy(method.replay_budget.policy);
+  // capacity applies from preparation on.
+  ShardedReplayEngine buffer = make_replay_store(method, config.seed, 1);
   const CheckpointMeta meta = make_checkpoint_meta(
       CheckpointKind::kContinual, method, config.insertion_layer, config.seed, config.epochs);
   snn::AdamOptimizer optimizer;
@@ -93,40 +77,14 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     epoch_rng.restore(loaded.unit_rng);
     replay_rng.restore(loaded.replay_rng);
     first_epoch = static_cast<std::size_t>(loaded.meta.next_unit);
-  } else if (method.use_replay) {
-    const data::Dataset replay_rescaled =
-        data::time_rescale(tasks.replay_subset, method.cl_timesteps, method.rescale);
-    const data::Dataset latents =
-        snn::frozen_latents(net, replay_rescaled, config.insertion_layer, policy,
-                            method.batch_size, &result.prep_stats);
-    for (const auto& s : latents) buffer.add(s.raster, s.label);
-    result.latent_memory_bytes = buffer.memory_bytes();
-  }
-  if (!ckpt.resuming()) {
+  } else {
+    if (method.use_replay) {
+      result.prep_stats = seed_replay_store(buffer, net, tasks.replay_subset, method,
+                                            config.insertion_layer);
+      result.latent_memory_bytes = buffer.memory_bytes();
+    }
     result.prep_latency_ms = latency_model.latency_ms(result.prep_stats);
     result.prep_energy_uj = energy_model.energy_uj(result.prep_stats);
-  }
-
-  // New-task training data in the method's time base.
-  const data::Dataset new_train_rescaled =
-      data::time_rescale(tasks.new_train, method.cl_timesteps, method.rescale);
-
-  // A_new = inference(net_f, TS_cl) (Alg. 1 line 23).  Layers below the
-  // insertion point are frozen for the whole run, so A_new is the same every
-  // epoch: run the prefix once here and reuse its output.  Every epoch is
-  // still charged this one inference, exactly what Alg. 1's per-epoch
-  // recompute costs, so the modelled latency/energy are unchanged.  The
-  // streamed branch holds A_new packed (PackedLatentSet), the materialized
-  // branch as a dense dataset.
-  snn::SpikeOpStats new_latent_stats;
-  std::optional<PackedLatentSet> packed_new;
-  data::Dataset new_latents;
-  if (method.use_replay && method.replay_stream) {
-    packed_new.emplace(net, new_train_rescaled, config.insertion_layer, policy,
-                       method.batch_size, &new_latent_stats);
-  } else {
-    new_latents = snn::frozen_latents(net, new_train_rescaled, config.insertion_layer, policy,
-                                      method.batch_size, &new_latent_stats);
   }
 
   // The test sets go through the frozen prefix once, under the method's
@@ -134,87 +92,24 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
   const metrics::PreparedTasks eval_sets =
       metrics::prepare_tasks(net, tasks, method.eval_settings(), config.insertion_layer);
 
-  // ---- Phase 2: NCL training (Alg. 1 lines 21–33) ------------------------
+  // ---- NCL training: one task step, one row per epoch --------------------
   result.rows.reserve(config.epochs);
   std::size_t completed_here = 0;
-  for (std::size_t epoch = first_epoch; epoch < config.epochs; ++epoch) {
+  std::optional<obs::TraceSpan> epoch_span;
+  Stopwatch epoch_watch;
+  TaskHooks hooks;
+  hooks.before_epoch = [&](std::size_t) {
     obs::metrics().counter("core.cl_epochs").add(1);
-    obs::TraceSpan epoch_span(obs::metrics(), "core.cl_epoch_seconds");
-    Stopwatch epoch_watch;
-    ClEpochRow row;
-    row.epoch = epoch;
-
-    // Train the learning layers on A_new ∪ A_LR (Alg. 1 line 31), charging
-    // this epoch's A_new inference first (line 23).
-    row.stats = new_latent_stats;
-    snn::TrainOptions opts;
-    opts.epochs = 1;
-    opts.batch_size = method.batch_size;
-    opts.lr = method.lr_cl;
-    opts.insertion_layer = config.insertion_layer;
-    opts.policy = policy;
-    opts.shuffle_seed = epoch_rng();
-    opts.prefetch = method.prefetch ? 1 : 0;
-    std::vector<snn::EpochRecord> history;
-    if (method.use_replay && method.replay_stream) {
-      // A_LR as a streaming cursor: the same draw from the same Rng as the
-      // materialized path below (bit-identical entry sets and training
-      // batches), but each drawn raster decodes into a scratch slot only
-      // when the shuffled batch assembly reaches it.  A_new streams the same
-      // way: PackedLatentSet stores each latent raster AER- or bit-packed
-      // and decodes on demand, so neither half is ever dense.
-      PackedLatentSet& latents = *packed_new;
-      const std::size_t new_count = latents.size();
-      const std::size_t draw = method.replay_samples_per_epoch > 0
-                                   ? method.replay_samples_per_epoch
-                                   : buffer.size();
-      ReplayStream stream =
-          buffer.stream(draw, replay_rng, method.batch_size, &row.stats);
-      snn::SampleSource source;
-      source.size = latents.size() + stream.size();
-      source.fetch = [&latents, &stream,
-                      n = latents.size()](std::size_t i) -> const data::Sample& {
-        return i < n ? latents.fetch(i) : stream.fetch(i - n);
-      };
-      if (importance_feedback) {
-        opts.sample_outcome = buffer.outcome_hook(stream.drawn(), new_count);
-      }
-      history = snn::train_supervised(net, source, optimizer, opts);
-    } else {
-      data::Dataset mixed = new_latents;
-      const std::size_t new_count = mixed.size();
-      // A_LR from the buffer (decompression charged to this epoch).  When
-      // the method caps its per-epoch replay appetite, only the drawn
-      // entries are decompressed — the budgeted-stream hot path.
-      std::vector<std::size_t> drawn;
-      if (method.use_replay && importance_feedback) {
-        // sample_into() is sample() plus the drawn logical indices, so the
-        // per-sample outcome hook can route each replay row's error back to
-        // its buffer entry (identical rng consumption and charging).
-        const std::size_t draw = method.replay_samples_per_epoch > 0
-                                     ? method.replay_samples_per_epoch
-                                     : buffer.size();
-        drawn = buffer.sample_into(draw, replay_rng, mixed, &row.stats);
-        opts.sample_outcome = buffer.outcome_hook(drawn, new_count);
-      } else if (method.use_replay) {
-        data::Dataset replay =
-            method.replay_samples_per_epoch > 0
-                ? buffer.sample(method.replay_samples_per_epoch, replay_rng, &row.stats)
-                : buffer.materialize(&row.stats);
-        mixed.insert(mixed.end(), std::make_move_iterator(replay.begin()),
-                     std::make_move_iterator(replay.end()));
-      }
-      history = snn::train_supervised(net, mixed, optimizer, opts);
-    }
-    row.loss = history.front().loss;
-    row.stats.add(history.front().stats);
-
+    epoch_span.emplace(obs::metrics(), "core.cl_epoch_seconds");
+    epoch_watch.restart();
+  };
+  hooks.on_epoch = [&](const TaskEpoch& trained) {
+    ClEpochRow row{.epoch = trained.epoch, .loss = trained.loss, .stats = trained.stats};
     row.latency_ms = latency_model.latency_ms(row.stats);
     row.energy_uj = energy_model.energy_uj(row.stats);
 
-    const bool evaluate_now =
-        (epoch % config.eval_every == 0) || (epoch + 1 == config.epochs);
-    if (evaluate_now) {
+    const std::size_t epoch = trained.epoch;
+    if (epoch % config.eval_every == 0 || epoch + 1 == config.epochs) {
       const metrics::TaskAccuracy acc = metrics::evaluate_tasks(net, eval_sets);
       row.acc_old = acc.old_tasks;
       row.acc_new = acc.new_task;
@@ -252,11 +147,13 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
       ck.total_wall_seconds = prior_wall_seconds + total_watch.elapsed_seconds();
       save_checkpoint(ckpt.save_path, ck, net, &optimizer, buffer);
     }
-    if (stopping) {
-      result.total_wall_seconds = prior_wall_seconds + total_watch.elapsed_seconds();
-      return result;
-    }
-  }
+    epoch_span.reset();
+    return !stopping;
+  };
+  learn_task(net, data::time_rescale(tasks.new_train, method.cl_timesteps, method.rescale),
+             {.method = method, .insertion_layer = config.insertion_layer, .buffer = buffer,
+              .optimizer = optimizer, .shuffle_rng = epoch_rng, .replay_rng = replay_rng},
+             first_epoch, config.epochs, hooks);
   result.total_wall_seconds = prior_wall_seconds + total_watch.elapsed_seconds();
   return result;
 }

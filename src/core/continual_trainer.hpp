@@ -1,25 +1,25 @@
 // The continual-learning engine implementing Alg. 1 for every method.
 //
 // Phases (Alg. 1):
-//   1. Network preparation — split the pre-trained network at the LR
-//      insertion layer; run the frozen prefix over TS_replay (under the
-//      method's threshold policy and timestep setting) and store the
-//      resulting latent activations, codec-compressed, in the replay buffer.
-//   2. NCL training — per epoch: take A_new = frozen-prefix inference of
-//      TS_cl (line 23), decompress A_LR from the buffer, and train the
-//      learning layers on the shuffled union A_new ∪ A_LR with the method's
-//      η_cl and threshold policy (lines 24–32).
+//   1. Network preparation — run the frozen prefix (layers below the LR
+//      insertion layer) over TS_replay under the method's threshold policy
+//      and timestep setting and store the latents, codec-compressed, in the
+//      replay store (core::make_replay_store / core::seed_replay_store).
+//   2. NCL training — one core::learn_task step over TS_cl (lines 21–33):
+//      A_new once, then per epoch a replay draw A_LR and training of the
+//      learning layers on A_new ∪ A_LR.  This engine turns each epoch into
+//      a ClEpochRow, evaluates on its eval_every cadence and checkpoints.
 //
-// The frozen prefix cannot change during phase 2, so the engine runs it once
-// per run: A_new is computed before the first epoch and reused, and the test
-// sets are pushed through the prefix once and evaluated from the insertion
-// layer (metrics::prepare_tasks).  Both reuse the exact batch blocking of a
-// recompute, so every row is bit-identical to Alg. 1's per-epoch recompute.
+// The frozen prefix cannot change during phase 2, so it runs once per run:
+// A_new before the first epoch, and the test sets once, then evaluated from
+// the insertion layer (metrics::prepare_tasks).  Both keep the batch
+// blocking of a recompute, so every row is bit-identical to Alg. 1's
+// per-epoch recompute.
 //
-// All modelled latency/energy is charged from the event counts of the work
+// Modelled latency/energy is charged from the event counts of the work
 // Alg. 1 performs (frozen inference, decompression, forward/backward of the
 // learning layers): each epoch is charged its A_new inference even though
-// the engine reuses the cached latents, so wall-clock time and modelled cost
+// the cached latents are reused, so wall-clock time and modelled cost
 // deliberately differ.  Evaluation passes are never charged.
 #pragma once
 

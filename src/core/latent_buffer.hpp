@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -147,10 +146,9 @@ struct ReplayBufferConfig {
   }
 };
 
-/// Salt deriving the per-run replay-draw Rng (LatentReplayBuffer::sample())
-/// from the run seed.  Shared by both run engines; the default
-/// full-materialize path never consumes from that stream, so legacy runs
-/// stay bit-identical.
+/// Salt deriving the per-run replay-draw Rng from the run seed (core::
+/// learn_task).  A whole-buffer draw (replay_samples_per_epoch = 0) takes
+/// every entry in storage order and consumes nothing from that stream.
 inline constexpr std::uint64_t kReplayDrawSeedSalt = 0xA11CE5EEDBEEFULL;
 
 /// Smoothing factor of the report_outcome() running score: each report moves
@@ -160,9 +158,9 @@ inline constexpr float kOutcomeEma = 0.25f;
 
 /// Uniform draw without replacement over [0, population) — the shared index
 /// draw behind LatentReplayBuffer::draw_indices and the sharded engine's
-/// global (cross-shard) draw.  k >= population returns the identity
-/// permutation and consumes no rng draws (the materialize() fallback);
-/// otherwise a partial Fisher–Yates consumes exactly k draws.
+/// global (cross-shard) draw.  k >= population returns storage order and
+/// consumes no rng draws (the whole-buffer draw); otherwise a partial
+/// Fisher–Yates consumes exactly k draws.
 [[nodiscard]] std::vector<std::size_t> draw_replay_indices(std::size_t population,
                                                            std::size_t k, Rng& rng);
 
@@ -302,18 +300,6 @@ class LatentReplayBuffer : public ReplayEntrySource {
   /// a no-op for the content-blind policies' determinism (scores are always
   /// maintained but only the importance policies read them).
   void report_outcome(std::size_t index, float score);
-
-  /// Builds the snn::TrainOptions::sample_outcome callback both run engines
-  /// install: training-set indices >= `new_count` are replay rows whose
-  /// logical buffer index is `drawn[i - new_count]`; their errors route to
-  /// report_outcome().  `drawn` is borrowed (a sample_into() result or
-  /// ReplayStream::drawn()) and must outlive the returned hook.
-  [[nodiscard]] std::function<void(std::size_t, float)> outcome_hook(
-      const std::vector<std::size_t>& drawn, std::size_t new_count) {
-    return [this, &drawn, new_count](std::size_t i, float error) {
-      if (i >= new_count) report_outcome(drawn[i - new_count], error);
-    };
-  }
 
   /// Decompresses the entry at logical `index` into `out`, reusing its
   /// allocations (and `levels_scratch`, when given, for quantized payload

@@ -1,8 +1,8 @@
 // Packed streaming source of new-task latents.
 //
-// The run engines compute the new-task latent activations (Alg. 1 line 23)
+// core::learn_task computes the new-task latent activations (Alg. 1 line 23)
 // once per task — the frozen prefix cannot change during its CL epochs — and
-// reuse them every epoch.  The materialized path holds them as a dense
+// reuses them every epoch.  Without replay_stream it holds them as a dense
 // data::Dataset — size × (T × C) bytes for the whole task.  PackedLatentSet
 // runs the same snn::for_each_latent() inference over the same contiguous
 // batch_size blocks (bit-identical latents — the adaptive threshold couples

@@ -68,10 +68,10 @@ struct NclMethodConfig {
   /// importance policies rank purely on insert-time spike density.  CLI
   /// knob: importance_feedback=0|1.
   bool importance_feedback = true;
-  /// Replay entries decompressed per CL epoch via LatentReplayBuffer::
-  /// sample(); 0 = materialize() the whole buffer every epoch.  Sampling
-  /// bounds the per-epoch decompression + training cost when the buffer is
-  /// large (the budgeted-stream hot path).
+  /// Replay entries drawn and decompressed per CL epoch; 0 draws the whole
+  /// buffer every epoch, in storage order and without consuming the replay
+  /// rng.  Sampling bounds the per-epoch decompression + training cost when
+  /// the buffer is large (the budgeted-stream hot path).
   std::size_t replay_samples_per_epoch = 0;
   /// Stream the per-epoch replay draw through a ReplayStream fused into
   /// training-batch assembly instead of materializing every drawn raster up

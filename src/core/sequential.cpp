@@ -3,9 +3,7 @@
 #include <optional>
 
 #include "core/checkpoint.hpp"
-#include "core/latent_source.hpp"
-#include "core/replay_stream.hpp"
-#include "core/sharded_engine.hpp"
+#include "core/learn_task.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -24,6 +22,8 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
                                    const CheckpointOptions& ckpt) {
   const NclMethodConfig& method = config.method;
   R4NCL_CHECK(!tasks.task_classes.empty(), "no tasks to learn");
+  R4NCL_CHECK(method.use_replay, "run_sequential needs latent replay: method '"
+                                     << method.name << "' has use_replay=false");
   R4NCL_CHECK(config.insertion_layer <= net.num_hidden(), "insertion layer out of range");
   R4NCL_CHECK(config.epochs_per_task > 0, "need at least one epoch per task");
   R4NCL_CHECK(ckpt.every >= 1, "checkpoint_every must be >= 1");
@@ -31,26 +31,14 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
 
   const metrics::EnergyModel energy_model(config.energy_params);
   const metrics::LatencyModel latency_model(config.latency_params);
-  const snn::ThresholdPolicy policy = method.policy();
 
   SequentialRunResult result;
   result.method_name = method.name;
 
-  // Base-class latents seed the buffer (Alg. 1 network preparation).  An
-  // active schedule binds from construction — seeding already runs under the
-  // task-0 cap, exactly as in run_continual_learning, so preparation never
-  // transiently exceeds the scheduled region.  The task-0 boundary
-  // set_capacity below is then a no-op.
-  ReplayBufferConfig run_budget = method.replay_budget.with_run_seed(config.seed);
-  if (method.budget_schedule.active()) {
-    run_budget.capacity_bytes = method.budget_schedule.capacity_for_task(
-        0, tasks.task_classes.size(), run_budget.capacity_bytes);
-  }
-  // The replay store is a ShardedReplayEngine; shards=1 (the default) is
-  // bit-identical to the LatentReplayBuffer this engine refactored out, so
-  // unsharded runs reproduce the pre-engine results byte for byte.
-  ShardedReplayEngine buffer(method.storage_codec, method.cl_timesteps, run_budget,
-                             method.replay_sharding);
+  // Base-class latents seed the store (Alg. 1 network preparation) under the
+  // task-0 cap of an active schedule, so the task-0 boundary set_capacity
+  // below is a no-op.
+  ShardedReplayEngine buffer = make_replay_store(method, config.seed, tasks.task_classes.size());
   const CheckpointMeta meta =
       make_checkpoint_meta(CheckpointKind::kSequential, method, config.insertion_layer,
                            config.seed, tasks.task_classes.size());
@@ -71,19 +59,11 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     replay_rng.restore(loaded.replay_rng);
     first_task = static_cast<std::size_t>(loaded.meta.next_unit);
   } else {
-    snn::SpikeOpStats prep_stats;
-    const data::Dataset rescaled =
-        data::time_rescale(tasks.replay_subset, method.cl_timesteps, method.rescale);
-    for (const auto& s : snn::frozen_latents(net, rescaled, config.insertion_layer, policy,
-                                             method.batch_size, &prep_stats)) {
-      buffer.add(s.raster, s.label);
-    }
+    const snn::SpikeOpStats prep_stats =
+        seed_replay_store(buffer, net, tasks.replay_subset, method, config.insertion_layer);
     result.total_latency_ms += latency_model.latency_ms(prep_stats);
     result.total_energy_uj += energy_model.energy_uj(prep_stats);
   }
-
-  const bool importance_feedback =
-      method.importance_feedback && is_importance_policy(method.replay_budget.policy);
 
   // Evaluation sets go through the frozen prefix once per call: the base
   // test set now, each task's test set the first time it is scored.  Each
@@ -114,80 +94,17 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     const data::Dataset new_rescaled = data::time_rescale(
         tasks.task_train[task], method.cl_timesteps, method.rescale);
 
-    // A_new once per task (see run_continual_learning): every epoch reuses
-    // it and is charged its inference.
-    snn::SpikeOpStats new_latent_stats;
-    std::optional<PackedLatentSet> packed_new;
-    data::Dataset new_latents;
-    if (method.replay_stream) {
-      packed_new.emplace(net, new_rescaled, config.insertion_layer, policy, method.batch_size,
-                         &new_latent_stats);
-    } else {
-      new_latents = snn::frozen_latents(net, new_rescaled, config.insertion_layer, policy,
-                                        method.batch_size, &new_latent_stats);
-    }
-
-    // CL phase for this task (Alg. 1 lines 21–33 against the current buffer).
+    // CL phase for this task (Alg. 1 lines 21–33 against the current store);
+    // Adam state is per task.
     snn::AdamOptimizer optimizer;
-    for (std::size_t epoch = 0; epoch < config.epochs_per_task; ++epoch) {
-      snn::TrainOptions opts;
-      opts.epochs = 1;
-      opts.batch_size = method.batch_size;
-      opts.lr = method.lr_cl;
-      opts.insertion_layer = config.insertion_layer;
-      opts.policy = policy;
-      opts.shuffle_seed = seed_rng();
-      opts.prefetch = method.prefetch ? 1 : 0;
-      task_stats.add(new_latent_stats);
-      std::vector<snn::EpochRecord> history;
-      if (method.replay_stream) {
-        // Streamed replay: same draw (same Rng stream) and same training
-        // batches as the materialized branch, decoded one batch at a time.
-        // New-task latents stream too: PackedLatentSet stores each latent
-        // raster AER- or bit-packed and decodes into a scratch slot on
-        // demand, so epoch assembly never holds either half densely.
-        PackedLatentSet& latents = *packed_new;
-        const std::size_t new_count = latents.size();
-        const std::size_t draw = method.replay_samples_per_epoch > 0
-                                     ? method.replay_samples_per_epoch
-                                     : buffer.size();
-        ReplayStream stream =
-            buffer.stream(draw, replay_rng, method.batch_size, &task_stats);
-        snn::SampleSource source;
-        source.size = latents.size() + stream.size();
-        source.fetch = [&latents, &stream,
-                        n = latents.size()](std::size_t i) -> const data::Sample& {
-          return i < n ? latents.fetch(i) : stream.fetch(i - n);
-        };
-        if (importance_feedback) {
-          opts.sample_outcome = buffer.outcome_hook(stream.drawn(), new_count);
-        }
-        history = snn::train_supervised(net, source, optimizer, opts);
-      } else {
-        data::Dataset mixed = new_latents;
-        const std::size_t new_count = mixed.size();
-        std::vector<std::size_t> drawn;
-        if (importance_feedback) {
-          // sample_into() is sample() plus the drawn logical indices, so the
-          // outcome hook can route each replay row's top-1 error back to its
-          // buffer entry (identical rng consumption and charging).
-          const std::size_t draw = method.replay_samples_per_epoch > 0
-                                       ? method.replay_samples_per_epoch
-                                       : buffer.size();
-          drawn = buffer.sample_into(draw, replay_rng, mixed, &task_stats);
-          opts.sample_outcome = buffer.outcome_hook(drawn, new_count);
-        } else {
-          data::Dataset replay =
-              method.replay_samples_per_epoch > 0
-                  ? buffer.sample(method.replay_samples_per_epoch, replay_rng, &task_stats)
-                  : buffer.materialize(&task_stats);
-          mixed.insert(mixed.end(), std::make_move_iterator(replay.begin()),
-                       std::make_move_iterator(replay.end()));
-        }
-        history = snn::train_supervised(net, mixed, optimizer, opts);
-      }
-      task_stats.add(history.front().stats);
-    }
+    learn_task(net, new_rescaled,
+               {.method = method, .insertion_layer = config.insertion_layer, .buffer = buffer,
+                .optimizer = optimizer, .shuffle_rng = seed_rng, .replay_rng = replay_rng},
+               0, config.epochs_per_task,
+               {.on_epoch = [&task_stats](const TaskEpoch& trained) {
+                 task_stats.add(trained.stats);
+                 return true;
+               }});
 
     // Record the just-learned class into the buffer (on-device latents).
     // `keep` is its own inference: A_new's cached latents were computed in
@@ -196,8 +113,9 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
       data::Dataset keep = data::take_per_class(
           new_rescaled, std::span<const std::int32_t>(&row.class_id, 1),
           config.replay_per_new_class);
-      for (const auto& s : snn::frozen_latents(net, keep, config.insertion_layer, policy,
-                                               method.batch_size, &task_stats)) {
+      for (const auto& s : snn::frozen_latents(net, keep, config.insertion_layer,
+                                               method.policy(), method.batch_size,
+                                               &task_stats)) {
         buffer.add(s.raster, s.label);
       }
     }

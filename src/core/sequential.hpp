@@ -3,11 +3,10 @@
 // Extension of the paper's single-new-class experiment to a *stream* of new
 // classes — the deployment setting its Fig. 1(b) motivates (a mobile agent
 // keeps encountering new categories).  For each arriving class the engine
-// runs the Alg. 1 CL phase against the current replay buffer, then records
-// latent activations of the *just-learned* class through the frozen prefix
-// and adds them to the buffer (on-device self-recording: the raw samples are
-// discarded, only compressed latents persist — exactly what the latent-
-// replay memory is for).
+// runs one core::learn_task step (the Alg. 1 CL phase) against the current
+// replay store, then records latents of the *just-learned* class through
+// the frozen prefix into the store (on-device self-recording: only
+// compressed latents persist).  Methods without replay are rejected.
 #pragma once
 
 #include <vector>

@@ -159,8 +159,10 @@ class ShardedReplayEngine : public ReplayEntrySource {
   /// comment); in-range routing matches the buffer's EMA exactly.
   void report_outcome(std::size_t index, float score);
 
-  /// snn::TrainOptions::sample_outcome callback, identical in shape to
-  /// LatentReplayBuffer::outcome_hook — `drawn` holds global indices.
+  /// snn::TrainOptions::sample_outcome callback: training-set indices >=
+  /// `new_count` are replay rows whose global index is `drawn[i -
+  /// new_count]`; their errors route to report_outcome().  `drawn` (a
+  /// sample_into() result or ReplayStream::drawn()) must outlive the hook.
   [[nodiscard]] std::function<void(std::size_t, float)> outcome_hook(
       const std::vector<std::size_t>& drawn, std::size_t new_count) {
     return [this, &drawn, new_count](std::size_t i, float error) {

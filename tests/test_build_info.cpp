@@ -1,7 +1,11 @@
 // Guards on the build configuration itself: the library hard-requires C++20
 // (std::source_location in util/error.hpp, std::numbers in util/rng.cpp),
 // and the OpenMP state of parallel_for must be visible in test reports so a
-// silently-serial build is caught in CI, not in a bench regression.
+// silently-serial build is caught in CI, not in a bench regression.  The
+// floating-point contraction setting is checked too: the bit-identity
+// oracles depend on it.
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "util/parallel.hpp"
@@ -26,6 +30,27 @@ TEST(BuildInfo, ReportsOpenMpState) {
 
 TEST(BuildInfo, ThreadCountIsSane) {
   EXPECT_GE(num_threads(), 1);
+}
+
+// The bit-identity oracles (test_bptt_identity, test_hot_path, the golden
+// digests) compare differently shaped float loops, which agree only when
+// every product is rounded before it is added.  GCC and Clang fuse a*b + c
+// into an FMA wherever the ISA has one unless -ffp-contract=off is in force,
+// so the library must have been configured with it as the last word.
+TEST(BuildInfo, FpContractOff) {
+  const std::string flags = R4NCL_EFFECTIVE_CXX_FLAGS;
+  RecordProperty("effective_cxx_flags", flags);
+#if defined(__GNUC__)
+  const std::size_t last = flags.rfind("-ffp-contract=");
+  ASSERT_NE(last, std::string::npos)
+      << "-ffp-contract=off is missing from the library's compile flags; the "
+         "bit-identity suites are not protected against FMA contraction: "
+      << flags;
+  EXPECT_EQ(flags.substr(last, flags.find(' ', last) - last), "-ffp-contract=off")
+      << "a later -ffp-contract= overrides the tree-wide -ffp-contract=off: " << flags;
+#else
+  GTEST_SKIP() << "-ffp-contract is a GCC/Clang flag; compiler flags: " << flags;
+#endif
 }
 
 }  // namespace

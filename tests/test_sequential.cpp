@@ -138,5 +138,23 @@ TEST(SequentialRun, RejectsBadConfig) {
   EXPECT_THROW((void)run_sequential(net, tasks, cfg), Error);
 }
 
+// The stream engine is latent replay by construction; a no-replay method
+// must fail up front instead of silently seeding and replaying.
+TEST(SequentialRun, RejectsMethodWithoutReplay) {
+  const auto tasks = make_stream(1);
+  snn::SnnNetwork net(stream_config().network);
+  SequentialRunConfig cfg = stream_run();
+  cfg.method = NclMethodConfig::naive_baseline();
+  try {
+    (void)run_sequential(net, tasks, cfg);
+    ADD_FAILURE() << "naive_baseline() stream was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "run_sequential needs latent replay: method 'Baseline' has use_replay=false"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace r4ncl::core
