@@ -226,13 +226,12 @@ int main(int argc, char** argv) {
       snn::SpikeOpStats dense_stats, event_stats;
       Tensor dense_out, event_out;
       std::vector<double> dense_walls, event_walls;
-      Tensor x;
+      Tensor x(T, B, C);  // fill_batch_column rewrites every cell of each column
       data::SpikeRaster scratch;
       for (std::size_t rep = 0; rep < reps; ++rep) {
         snn::set_sparse_forward(snn::SparseForward::kNever);
         dense_stats = {};
         Stopwatch dw;
-        data::ensure_batch_shape(x, T, B, C);
         for (std::size_t b = 0; b < B; ++b) {
           compress::aer_decode_into(aer[b], scratch);
           data::fill_batch_column(x, b, scratch);

@@ -1,5 +1,11 @@
 #include "compress/aer.hpp"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
+#include <cstring>
+
 #include "compress/bitpack.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -8,7 +14,25 @@ namespace r4ncl::compress {
 
 namespace {
 constexpr std::uint8_t kDeltaEscape = 0xff;  // delta ≥ 255 → escape + u16 delta
-}
+
+std::atomic<std::uint64_t> g_event_allocations{0};
+
+/// For each 8-bit mask: how many bits are set and their positions,
+/// ascending (unused slots 0) — the compaction table of the raster scan.
+struct BitPositions {
+  std::array<std::uint32_t, 8> at{};
+  std::uint32_t count = 0;
+};
+constexpr std::array<BitPositions, 256> kBitPositions = [] {
+  std::array<BitPositions, 256> table{};
+  for (std::size_t mask = 0; mask < 256; ++mask) {
+    for (std::uint32_t bit = 0; bit < 8; ++bit) {
+      if ((mask >> bit) & 1u) table[mask].at[table[mask].count++] = bit;
+    }
+  }
+  return table;
+}();
+}  // namespace
 
 AerRaster aer_encode(const data::SpikeRaster& raster) {
   R4NCL_CHECK(raster.channels < 0x10000, "AER channel field is u16");
@@ -156,6 +180,137 @@ BatchEventList events_from_batch(const Tensor& x) {
       },
       C);
   return out;
+}
+
+Tensor batch_from_events(const BatchEventList& events) {
+  Tensor out(events.timesteps, events.batch, events.channels);
+  float* p = out.raw();
+  const std::size_t rows = events.timesteps * events.batch;
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = p + r * events.channels;
+    for (std::size_t e = events.offsets[r]; e < events.offsets[r + 1]; ++e) {
+      row[events.channel[e]] = events.value[e];
+    }
+  }
+  return out;
+}
+
+data::SpikeRaster raster_from_events(const BatchEventList& events, std::size_t b) {
+  R4NCL_CHECK(b < events.batch, "batch index out of range");
+  data::SpikeRaster out(events.timesteps, events.channels);
+  for (std::size_t t = 0; t < events.timesteps; ++t) {
+    std::uint8_t* row = out.bits.data() + t * events.channels;
+    for (std::size_t e = events.row_begin(t, b); e < events.row_end(t, b); ++e) {
+      row[events.channel[e]] = events.value[e] > 0.5f ? 1 : 0;
+    }
+  }
+  return out;
+}
+
+BatchEventBuilder::BatchEventBuilder() : out_(std::make_shared<BatchEventList>()) {}
+
+void BatchEventBuilder::begin(std::size_t rows) {
+  rows_ = rows;
+  added_ = 0;
+}
+
+void BatchEventBuilder::add(const data::SpikeRaster& raster) {
+  R4NCL_CHECK(added_ < rows_, "batch already holds " << rows_ << " rasters");
+  const std::size_t T = raster.timesteps, C = raster.channels, B = rows_;
+  if (added_ == 0) {
+    timesteps_ = T;
+    channels_ = C;
+    stride_ = B * C;
+    count_.resize(T * B);
+    fill_.assign(T, 0);
+    non_unit_rows_.clear();
+    const std::size_t cells = T * stride_;
+    if (cells > capacity_) {
+      channel_ = std::make_unique_for_overwrite<std::uint32_t[]>(cells);
+      out_->channel.reserve(cells);
+      out_->value.reserve(cells);
+      capacity_ = cells;
+      g_event_allocations.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else {
+    R4NCL_CHECK(T == timesteps_ && C == channels_, "raster shape mismatch inside batch");
+  }
+  // Timestep t's events of every row land in bucket t (from slot t·stride),
+  // appended in row order, so the buckets concatenate into the t-major list.
+  // Eight channels are taken per load: the bytes' non-zero mask indexes the
+  // table of their positions, and eight slots are written unconditionally —
+  // no branch per event.  The writes stay inside the bucket: before channel
+  // c of row b it holds at most b·C + c events, and c + 8 <= C.
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kGather = 0x0102040810204080ULL;  // bit 8k+7 → bit 56+k
+  const std::size_t b = added_;
+  std::uint64_t non_unit = 0;
+  for (std::size_t t = 0; t < T; ++t) {
+    const std::uint8_t* row = raster.bits.data() + t * C;
+    std::uint32_t* chan = channel_.get() + t * stride_ + fill_[t];
+    std::uint32_t n = 0;
+    std::size_t c = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      for (; c + 8 <= C; c += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, row + c, sizeof word);
+        non_unit |= word & ~kOnes;
+        const std::uint64_t live = (((word & kLow7) + kLow7) | word) & kHigh;
+        const BitPositions& p = kBitPositions[((live >> 7) * kGather) >> 56];
+        const auto base = static_cast<std::uint32_t>(c);
+        for (std::size_t i = 0; i < 8; ++i) chan[n + i] = base + p.at[i];
+        n += p.count;
+      }
+    }
+    for (; c < C; ++c) {
+      if (row[c] == 0) continue;
+      non_unit |= row[c] & ~1u;
+      chan[n++] = static_cast<std::uint32_t>(c);
+    }
+    count_[t * B + b] = n;
+    fill_[t] += n;
+  }
+  // Non-binary bytes are rare: such a row keeps a copy of its raster, read
+  // back when finish() writes the values.
+  if (non_unit != 0) non_unit_rows_.emplace_back(b, raster.bits);
+  ++added_;
+}
+
+std::shared_ptr<const BatchEventList> BatchEventBuilder::finish() {
+  R4NCL_CHECK(added_ == rows_ && rows_ > 0,
+              "batch of " << rows_ << " rows finished after " << added_ << " rasters");
+  BatchEventList& out = *out_;
+  const std::size_t T = timesteps_, B = rows_, C = channels_;
+  out.timesteps = T;
+  out.batch = B;
+  out.channels = C;
+  out.unit_values = non_unit_rows_.empty();
+  out.offsets.resize(T * B + 1);
+  std::uint32_t cursor = 0;
+  for (std::size_t r = 0; r < T * B; ++r) {
+    out.offsets[r] = cursor;
+    cursor += count_[r];
+  }
+  out.offsets[T * B] = cursor;
+  out.channel.resize(cursor);
+  for (std::size_t t = 0; t < T; ++t) {
+    std::copy_n(channel_.get() + t * stride_, fill_[t], out.channel.data() + out.offsets[t * B]);
+  }
+  out.value.assign(cursor, 1.0f);
+  for (const auto& [b, bits] : non_unit_rows_) {
+    for (std::size_t t = 0; t < T; ++t) {
+      for (std::size_t e = out.row_begin(t, b); e < out.row_end(t, b); ++e) {
+        out.value[e] = static_cast<float>(bits[t * C + out.channel[e]]);
+      }
+    }
+  }
+  return out_;
+}
+
+std::uint64_t batch_event_allocations() noexcept {
+  return g_event_allocations.load(std::memory_order_relaxed);
 }
 
 BatchEventList events_from_aer(std::span<const AerRaster> samples) {

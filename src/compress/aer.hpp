@@ -13,13 +13,16 @@
 // Beyond storage, this header is also the event-*iteration* surface of the
 // repo: aer_visit() walks an encoded stream without densifying it, and
 // BatchEventList is the batched per-timestep active-channel list the SNN
-// hot path consumes (snn::RecurrentLifLayer's event-driven forward), built
-// either from AER samples or from a dense (T × B × C) float batch.
+// hot path consumes and hands from layer to layer, built from a batch's
+// rasters (BatchEventBuilder), from AER samples, or from a dense
+// (T × B × C) float batch.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "data/spike_data.hpp"
@@ -95,6 +98,56 @@ struct BatchEventList {
 /// Builds the event list of a dense (T × B × C) float batch in one scan.
 /// Every cell with a non-zero value becomes an event carrying that value.
 BatchEventList events_from_batch(const Tensor& x);
+
+/// The dense (T × B × C) cube of an event list: each event's value in its
+/// cell, 0 elsewhere — the inverse of events_from_batch().
+Tensor batch_from_events(const BatchEventList& events);
+
+/// Batch row b of an event list as a binary raster (value > 0.5 → spike),
+/// equal to data::batch_to_raster(batch_from_events(events), b).
+data::SpikeRaster raster_from_events(const BatchEventList& events, std::size_t b);
+
+/// Builds the event list of B rasters handed in one at a time, in batch-row
+/// order: events_from_batch(data::make_batch(...)) without the float cube,
+/// and equal to it (a raster byte v becomes an event of value float(v)).
+/// Each raster is scanned once, inside add(), so a streaming source's sample
+/// only has to live until add() returns.  The scratch and the output list
+/// are sized for an all-spikes batch the first time a geometry needs it and
+/// reused for every later batch; their pages are touched only as events are
+/// written.
+class BatchEventBuilder {
+ public:
+  BatchEventBuilder();
+
+  /// Starts a batch of `rows` rasters; the first add() fixes the geometry.
+  void begin(std::size_t rows);
+  /// Appends the next batch row.
+  void add(const data::SpikeRaster& raster);
+  /// Concatenates the rows t-major and returns the list.  The builder
+  /// rewrites the same list on its next finish(), so it is valid until then.
+  [[nodiscard]] std::shared_ptr<const BatchEventList> finish();
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t added_ = 0;
+  std::size_t timesteps_ = 0;
+  std::size_t channels_ = 0;
+  std::size_t stride_ = 0;    // slots per timestep bucket: B·C
+  std::size_t capacity_ = 0;  // slots the scratch and the output can hold
+  /// Row (t, b)'s event count at t·B + b, and events per timestep so far.
+  std::vector<std::uint32_t> count_;
+  std::vector<std::size_t> fill_;
+  /// Timestep t's event channels, in row order, from slot t·stride_.
+  std::unique_ptr<std::uint32_t[]> channel_;
+  /// (row, raster bytes) of the rows holding a byte other than 0 and 1.
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> non_unit_rows_;
+  std::shared_ptr<BatchEventList> out_;
+};
+
+/// Process-wide count of BatchEventBuilder scratch (re)allocations — the
+/// batch-assembly allocation probe: a trainer slot or an evaluation sweep
+/// allocates once per geometry, never per batch.
+std::uint64_t batch_event_allocations() noexcept;
 
 /// Builds the event list of B AER-encoded samples (sample i = batch row i)
 /// without densifying any of them; all samples must share geometry.  The

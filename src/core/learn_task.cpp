@@ -4,6 +4,7 @@
 
 #include "core/latent_source.hpp"
 #include "core/replay_stream.hpp"
+#include "obs/metrics.hpp"
 
 namespace r4ncl::core {
 
@@ -30,7 +31,7 @@ TaskEpoch train_epoch(snn::SnnNetwork& net, const TaskStep& step, const Fetch& n
     } else {
       sampled = step.buffer.sample_into(draw, step.replay_rng, replay, &out.stats);
     }
-    if (method.importance_feedback && is_importance_policy(method.replay_budget.policy)) {
+    if (step.outcome_feedback) {
       opts.sample_outcome =
           step.buffer.outcome_hook(stream ? stream->drawn() : sampled, new_count);
     }
@@ -102,12 +103,21 @@ void learn_task(snn::SnnNetwork& net, const data::Dataset& train, const TaskStep
   };
   const std::size_t new_count = packed ? packed->size() : dense.size();
 
+  obs::MetricsRegistry& reg = obs::metrics();
+  obs::Counter& obs_synops = reg.counter("snn.synops");
+  obs::Counter& obs_backward_synops = reg.counter("snn.backward_synops");
+  obs::Counter& obs_spikes = reg.counter("snn.spikes");
+  obs::Counter& obs_neuron_updates = reg.counter("snn.neuron_updates");
   for (std::size_t epoch = first_epoch; epoch < epochs; ++epoch) {
     if (hooks.before_epoch) hooks.before_epoch(epoch);
     opts.shuffle_seed = step.shuffle_rng();
     TaskEpoch done = train_epoch(net, step, new_sample, new_count, opts);
     done.epoch = epoch;
     done.stats.add(new_stats);
+    obs_synops.add(done.stats.synops);
+    obs_backward_synops.add(done.stats.backward_synops);
+    obs_spikes.add(done.stats.spikes);
+    obs_neuron_updates.add(done.stats.neuron_updates);
     if (!hooks.on_epoch(done)) return;
   }
 }

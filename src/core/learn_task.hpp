@@ -43,6 +43,11 @@ struct TaskStep {
   snn::AdamOptimizer& optimizer;
   Rng& shuffle_rng;  // one draw per epoch: its shuffle seed
   Rng& replay_rng;
+  /// Feed each replayed row's training error back to its entry (the
+  /// importance policies' scores).  Scores only matter to a store that
+  /// still adds and evicts after this task, so only the stream engine sets
+  /// it (under importance_feedback with an importance policy).
+  bool outcome_feedback = false;
 };
 
 struct TaskEpoch {
@@ -62,6 +67,8 @@ struct TaskHooks {
 /// packed (PackedLatentSet, ReplayStream); otherwise both are dense.  Either
 /// way the batches are identical.  A draw takes replay_samples_per_epoch
 /// entries, or the whole buffer in storage order (no rng consumed) at 0.
+/// Each epoch's stats are also added to the registry counters snn.synops,
+/// snn.backward_synops, snn.spikes and snn.neuron_updates.
 void learn_task(snn::SnnNetwork& net, const data::Dataset& train, const TaskStep& step,
                 std::size_t first_epoch, std::size_t epochs, const TaskHooks& hooks);
 

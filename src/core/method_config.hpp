@@ -65,8 +65,10 @@ struct NclMethodConfig {
   /// Feed per-sample replay outcomes (top-1 error) back into the buffer's
   /// importance scores after each draw (LatentReplayBuffer::report_outcome).
   /// Only consulted when replay_budget.policy is importance-aware; off, the
-  /// importance policies rank purely on insert-time spike density.  CLI
-  /// knob: importance_feedback=0|1.
+  /// importance policies rank purely on insert-time spike density.  Only
+  /// run_sequential feeds back: a single-task run never adds or evicts after
+  /// preparation, so its scores could change nothing.  CLI knob:
+  /// importance_feedback=0|1.
   bool importance_feedback = true;
   /// Replay entries drawn and decompressed per CL epoch; 0 draws the whole
   /// buffer every epoch, in storage order and without consuming the replay

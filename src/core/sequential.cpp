@@ -99,7 +99,9 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     snn::AdamOptimizer optimizer;
     learn_task(net, new_rescaled,
                {.method = method, .insertion_layer = config.insertion_layer, .buffer = buffer,
-                .optimizer = optimizer, .shuffle_rng = seed_rng, .replay_rng = replay_rng},
+                .optimizer = optimizer, .shuffle_rng = seed_rng, .replay_rng = replay_rng,
+                .outcome_feedback = method.importance_feedback &&
+                                    is_importance_policy(method.replay_budget.policy)},
                0, config.epochs_per_task,
                {.on_epoch = [&task_stats](const TaskEpoch& trained) {
                  task_stats.add(trained.stats);

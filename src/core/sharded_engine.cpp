@@ -60,6 +60,7 @@ ShardedReplayEngine::ShardedReplayEngine(const compress::CodecConfig& codec,
   // the registry lock; while disarmed every publish below is a no-op.
   obs::MetricsRegistry& reg = obs::metrics();
   obs_adds_ = &reg.counter("replay_engine.adds");
+  obs_outcomes_ = &reg.counter("replay_engine.outcomes");
   obs_capacity_ = &reg.gauge("replay_engine.capacity_bytes");
   obs_lock_wait_ =
       &reg.histogram("replay_engine.lock_wait_seconds", obs::kLatencyEdgesSeconds);
@@ -199,6 +200,7 @@ void ShardedReplayEngine::report_outcome(std::size_t index, float score) {
   // traffic a drawn entry may be displaced before its outcome lands, and
   // losing one EMA observation is the correct degradation.  Single-threaded
   // runs (the shards=1 contract) never take the miss branch.
+  obs_outcomes_->add(1);
   (void)with_entry(index, [score](LatentReplayBuffer& b, std::size_t local) {
     b.report_outcome(local, score);
   });

@@ -237,6 +237,7 @@ class ShardedReplayEngine : public ReplayEntrySource {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardTelemetry> shard_obs_;
   obs::Counter* obs_adds_ = nullptr;
+  obs::Counter* obs_outcomes_ = nullptr;  // report_outcome() calls
   obs::Gauge* obs_capacity_ = nullptr;
   obs::Histogram* obs_lock_wait_ = nullptr;
 };

@@ -1,32 +1,12 @@
 #include "data/spike_data.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
 
 #include "util/error.hpp"
 
 namespace r4ncl::data {
-
-namespace {
-std::atomic<std::uint64_t> g_batch_allocations{0};
-}  // namespace
-
-bool ensure_batch_shape(Tensor& batch, std::size_t timesteps, std::size_t batch_count,
-                        std::size_t channels) {
-  if (batch.rank() == 3 && batch.dim(0) == timesteps && batch.dim(1) == batch_count &&
-      batch.dim(2) == channels) {
-    return false;
-  }
-  batch = Tensor(timesteps, batch_count, channels);
-  g_batch_allocations.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-std::uint64_t batch_tensor_allocations() noexcept {
-  return g_batch_allocations.load(std::memory_order_relaxed);
-}
 
 std::size_t SpikeRaster::spike_count() const noexcept {
   std::size_t n = 0;

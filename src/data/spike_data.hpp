@@ -2,7 +2,8 @@
 //
 // A raster is a (timesteps × channels) 0/1 grid — the lingua franca between
 // the dataset generator, the compression codec, the latent-replay buffer and
-// the SNN training stack (which consumes rasters as float batches).
+// the SNN training stack (which consumes a batch of rasters as its spike event
+// list, compress::BatchEventBuilder).
 #pragma once
 
 #include <cstdint>
@@ -70,21 +71,8 @@ Dataset time_rescale(const Dataset& dataset, std::size_t new_timesteps,
 Tensor make_batch(const Dataset& dataset, std::span<const std::size_t> indices);
 
 /// Writes `raster` into column `b` of a (T × B × channels) float batch —
-/// the single-sample building block make_batch() and the streaming trainer
-/// path assemble batches from, so both produce bit-identical tensors.
+/// the single-sample building block of make_batch().
 void fill_batch_column(Tensor& batch, std::size_t b, const SpikeRaster& raster);
-
-/// Makes `batch` a (timesteps × batch_count × channels) cube, reusing its
-/// storage when the shape already matches (fill_batch_column overwrites every
-/// cell of a column, so stale contents cannot leak through).  Returns true
-/// when a fresh allocation was made; every allocation also bumps
-/// batch_tensor_allocations() so tests can pin the hot path's scratch reuse.
-bool ensure_batch_shape(Tensor& batch, std::size_t timesteps, std::size_t batch_count,
-                        std::size_t channels);
-
-/// Process-wide count of batch-scratch tensor (re)allocations made through
-/// ensure_batch_shape() — the trainer's allocation-regression probe.
-std::uint64_t batch_tensor_allocations() noexcept;
 
 /// Labels of the given samples, in order.
 std::vector<std::int32_t> batch_labels(const Dataset& dataset,

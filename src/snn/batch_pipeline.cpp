@@ -54,23 +54,20 @@ void BatchPipeline::begin_epoch(const std::vector<std::size_t>& order) {
   cv_producer_.notify_all();
 }
 
-void BatchPipeline::assemble(PreparedBatch& pb, std::size_t batch_index) {
+void BatchPipeline::assemble(Slot& slot, std::size_t batch_index) {
+  PreparedBatch& pb = slot.pb;
   const std::size_t lo = batch_index * batch_size_;
   const std::size_t hi = std::min(order_.size(), lo + batch_size_);
   pb.lo = lo;
   pb.count = hi - lo;
   pb.labels.clear();
+  slot.builder.begin(pb.count);
   for (std::size_t b = 0; b < pb.count; ++b) {
     const data::Sample& s = source_.fetch(order_[lo + b]);
-    if (b == 0) {
-      data::ensure_batch_shape(pb.batch, s.raster.timesteps, pb.count, s.raster.channels);
-    } else {
-      R4NCL_CHECK(s.raster.timesteps == pb.batch.dim(0) && s.raster.channels == pb.batch.dim(2),
-                  "raster shape mismatch inside batch");
-    }
-    data::fill_batch_column(pb.batch, b, s.raster);
+    slot.builder.add(s.raster);
     pb.labels.push_back(s.label);
   }
+  pb.events = slot.builder.finish();
 }
 
 void BatchPipeline::producer_main() {
@@ -91,7 +88,7 @@ void BatchPipeline::producer_main() {
     std::exception_ptr err;
     try {
       Stopwatch watch;
-      assemble(slot.pb, idx);
+      assemble(slot, idx);
       seconds = watch.elapsed_seconds();
     } catch (...) {
       err = std::current_exception();
@@ -124,7 +121,7 @@ const PreparedBatch* BatchPipeline::next_batch() {
     }
     // The whole assembly is train-loop stall by definition.
     Stopwatch watch;
-    assemble(slots_[0].pb, idx);
+    assemble(slots_[0], idx);
     const double seconds = watch.elapsed_seconds();
     MutexLock lock(mu_);
     assemble_seconds_ += seconds;

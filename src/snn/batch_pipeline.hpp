@@ -1,9 +1,11 @@
 // Double-buffered minibatch assembly for the supervised training loop.
 //
 // BatchPipeline turns a SampleSource + epoch permutation into a sequence of
-// ready-to-train PreparedBatch slots.  With prefetch = 0 it assembles each
-// batch synchronously into a persistent scratch tensor (the allocation-free
-// fast path the trainer always gets).  With prefetch ≥ 1 a single background
+// ready-to-train PreparedBatch slots, each batch assembled straight from the
+// samples' rasters into its spike event list (compress::BatchEventBuilder —
+// no float cube).  With prefetch = 0 it assembles each batch synchronously
+// into a persistent scratch list (the allocation-free fast path the trainer
+// always gets).  With prefetch ≥ 1 a single background
 // producer thread decodes batch t+1..t+prefetch into spare slots while the
 // consumer trains on batch t, overlapping replay decompression with the
 // forward/backward pass.
@@ -26,8 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include "compress/aer.hpp"
 #include "snn/trainer.hpp"
-#include "tensor/tensor.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -37,11 +39,11 @@ class Histogram;
 
 namespace r4ncl::snn {
 
-/// One assembled minibatch: the (T × count × C) input cube, its labels, and
-/// its offset into the epoch permutation (order[lo + b] is row b's source
-/// index — what the sample_outcome hook reports against).
+/// One assembled minibatch: the (T × count × C) input batch's event list,
+/// its labels, and its offset into the epoch permutation (order[lo + b] is
+/// row b's source index — what the sample_outcome hook reports against).
 struct PreparedBatch {
-  Tensor batch;
+  SpikeList events;
   std::vector<std::int32_t> labels;
   std::size_t lo = 0;
   std::size_t count = 0;
@@ -80,10 +82,11 @@ class BatchPipeline {
     /// by the producer while !ready and by the consumer while it is the held
     /// slot; the `ready` flip under mu_ publishes the hand-off.
     PreparedBatch pb;
+    compress::BatchEventBuilder builder;  // owns pb.events; same ownership as pb
     bool ready = false;  // guarded by mu_ (see field block below)
   };
 
-  void assemble(PreparedBatch& pb, std::size_t batch_index) R4NCL_EXCLUDES(mu_);
+  void assemble(Slot& slot, std::size_t batch_index) R4NCL_EXCLUDES(mu_);
   void producer_main() R4NCL_EXCLUDES(mu_);
 
   const SampleSource& source_;

@@ -15,13 +15,12 @@ constexpr std::uint32_t kLayerTag = make_tag("LAYR");
 
 std::atomic<SparseForward> g_sparse_forward{SparseForward::kAuto};
 
-/// Packs the spike indices a caching forward_sparse recorded into the t-major
-/// CSR event list of its output cube.  Batch row b's indices sit in
+/// Packs the spike indices forward_sparse recorded into the t-major CSR
+/// event list of its output cube.  Batch row b's indices sit in
 /// idx[b·T·N, …), timestep after timestep; count[t·B + b] is row (t, b)'s
 /// spike count.
-std::shared_ptr<const compress::BatchEventList> pack_spike_rows(
-    std::size_t T, std::size_t B, std::size_t N, const std::uint32_t* idx,
-    const std::vector<std::uint32_t>& count) {
+SpikeList pack_spike_rows(std::size_t T, std::size_t B, std::size_t N, const std::uint32_t* idx,
+                          const std::vector<std::uint32_t>& count) {
   auto out = std::make_shared<compress::BatchEventList>();
   out->timesteps = T;
   out->batch = B;
@@ -49,6 +48,10 @@ std::shared_ptr<const compress::BatchEventList> pack_spike_rows(
 }
 }  // namespace
 
+SpikeList spike_list(const Tensor& x) {
+  return std::make_shared<const compress::BatchEventList>(compress::events_from_batch(x));
+}
+
 void set_sparse_forward(SparseForward mode) noexcept {
   g_sparse_forward.store(mode, std::memory_order_relaxed);
 }
@@ -75,10 +78,13 @@ RecurrentLifLayer::RecurrentLifLayer(std::size_t n_in, std::size_t n_out, const 
   }
 }
 
+bool RecurrentLifLayer::dense_kernels(SpikeMode mode) noexcept {
+  return mode == SpikeMode::kSoft || sparse_forward() == SparseForward::kNever;
+}
+
 Tensor RecurrentLifLayer::forward(const Tensor& x, SpikeMode mode,
                                   const ThresholdPolicy& policy, LayerCache* cache,
-                                  SpikeOpStats* stats,
-                                  std::shared_ptr<const compress::BatchEventList> x_events) const {
+                                  SpikeOpStats* stats, SpikeList x_events) const {
   R4NCL_CHECK(x.rank() == 3, "input must be (T × B × n_in)");
   R4NCL_CHECK(x.dim(2) == n_in_, "input feature dim " << x.dim(2) << " != " << n_in_);
   if (x_events != nullptr) {
@@ -86,23 +92,37 @@ Tensor RecurrentLifLayer::forward(const Tensor& x, SpikeMode mode,
                     x_events->channels == n_in_,
                 "x_events does not describe x");
   }
-  // Hard mode goes event-driven: one scan of x builds the active-channel
-  // lists (the same traffic the dense path's per-timestep count_nonzero
-  // stats rescan used to cost), then every timestep does O(events·n_out)
-  // work.  Soft mode (gradcheck) keeps the dense kernels.  A caching pass
-  // needs x's list either way: backward scatters dW_ff from it.
-  const bool sparse = mode == SpikeMode::kHard && sparse_forward() != SparseForward::kNever;
-  if (x_events == nullptr && (sparse || cache != nullptr)) {
-    x_events = std::make_shared<const compress::BatchEventList>(compress::events_from_batch(x));
+  // Hard mode goes event-driven from x's list (one scan of x when the caller
+  // has none).  Soft mode (gradcheck) keeps the dense kernels.  A caching
+  // pass needs both lists either way: backward scatters from them.
+  Tensor out;
+  SpikeList out_events;
+  if (dense_kernels(mode)) {
+    out = forward_dense(x, mode, policy, cache, stats);
+    if (cache != nullptr) out_events = spike_list(out);
+  } else {
+    if (x_events == nullptr) x_events = spike_list(x);
+    out = Tensor(x.dim(0), x.dim(1), n_out_);
+    out_events = forward_sparse(*x_events, policy, cache, stats, &out);
   }
-  Tensor out = sparse ? forward_sparse(*x_events, policy, cache, stats)
-                      : forward_dense(x, mode, policy, cache, stats);
   if (cache != nullptr) {
-    cache->in_events = std::move(x_events);
-    if (!sparse) {
-      cache->out_events =
-          std::make_shared<const compress::BatchEventList>(compress::events_from_batch(out));
-    }
+    cache->in_events = x_events != nullptr ? std::move(x_events) : spike_list(x);
+    cache->out_events = std::move(out_events);
+  }
+  return out;
+}
+
+SpikeList RecurrentLifLayer::forward(SpikeList x, SpikeMode mode, const ThresholdPolicy& policy,
+                                     LayerCache* cache, SpikeOpStats* stats) const {
+  R4NCL_CHECK(x != nullptr, "forward needs an input event list");
+  R4NCL_CHECK(x->channels == n_in_, "input feature dim " << x->channels << " != " << n_in_);
+  SpikeList out = dense_kernels(mode)
+                      ? spike_list(forward_dense(compress::batch_from_events(*x), mode, policy,
+                                                cache, stats))
+                      : forward_sparse(*x, policy, cache, stats, nullptr);
+  if (cache != nullptr) {
+    cache->in_events = std::move(x);
+    cache->out_events = out;
   }
   return out;
 }
@@ -113,18 +133,20 @@ Tensor RecurrentLifLayer::forward_events(const compress::BatchEventList& events,
   R4NCL_CHECK(mode == SpikeMode::kHard, "event-driven forward is hard-mode only");
   R4NCL_CHECK(events.channels == n_in_,
               "event-list channel count " << events.channels << " != " << n_in_);
-  return forward_sparse(events, policy, nullptr, stats);
+  Tensor out(events.timesteps, events.batch, n_out_);
+  (void)forward_sparse(events, policy, nullptr, stats, &out);
+  return out;
 }
 
-Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
-                                         const ThresholdPolicy& policy, LayerCache* cache,
-                                         SpikeOpStats* stats) const {
+SpikeList RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
+                                            const ThresholdPolicy& policy, LayerCache* cache,
+                                            SpikeOpStats* stats, Tensor* dense_out) const {
   const std::size_t T = events.timesteps, B = events.batch;
-  Tensor out(T, B, n_out_);
   Tensor v(B, n_out_);        // current membrane
-  Tensor prev_s(B, n_out_);   // S(t−1)
+  Tensor s(B, n_out_);        // S(t−1), overwritten in place by S(t)
   Tensor current(B, n_out_);  // I(t)
-  if (cache != nullptr) {
+  const bool record = cache != nullptr;
+  if (record) {
     cache->membrane = Tensor(T, B, n_out_);
     cache->theta.assign(T, policy.fixed_value);
   }
@@ -133,20 +155,15 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
   float theta_prev = policy.fixed_value;
   const std::size_t bn = B * n_out_;
 
-  // Output spikes double as the next step's recurrent *events*: each row
-  // records its spike indices while it computes them, so the recurrent
-  // matmul is event-driven too (hard-mode spikes are exactly 1.0f, and the
-  // indices are ascending — the dense kernel's accumulation order).  A
-  // caching pass keeps every step's indices (row b appends to its own T·N
-  // slice) and packs them into LayerCache::out_events; otherwise one N-slot
-  // slice per row is reused step after step.
-  const bool record = cache != nullptr;
-  const std::size_t slice = record ? T * n_out_ : n_out_;
-  std::unique_ptr<std::uint32_t[]> spike_idx;
-  if (lif_.recurrent || record) {
-    spike_idx = std::make_unique_for_overwrite<std::uint32_t[]>(B * slice);
-  }
-  std::vector<std::uint32_t> step_count(record ? T * B : 0);  // row (t, b) at t·B + b
+  // Each row records its spike indices while it computes them: row b
+  // appends every step's indices to its own T·N slice, so the previous
+  // step's indices are the recurrent *events* of this one (hard-mode spikes
+  // are exactly 1.0f, and the indices are ascending — the dense kernel's
+  // accumulation order), and at the end the slices pack into the output
+  // list.  step_count[t·B + b] is row (t, b)'s spike count.
+  const std::size_t slice = T * n_out_;
+  const auto spike_idx = std::make_unique_for_overwrite<std::uint32_t[]>(B * slice);
+  std::vector<std::uint32_t> step_count(T * B);
 
   // Everything the inner loops touch is hoisted into locals: member and
   // vector accesses through `this`/`events` would otherwise defeat the
@@ -160,6 +177,7 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
   const std::uint32_t* chan = events.channel.data();
   const float* val = events.value.data();
   const bool unit = events.unit_values;
+  float* outp = dense_out != nullptr ? dense_out->raw() : nullptr;
 
   // Fixed threshold: θ(t) never depends on the batch's spike counts, so the
   // rows are fully independent — each batch row runs its entire T-step
@@ -169,18 +187,17 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
   // bit-identical to it (and to the dense kernel) at any thread count.
   if (policy.mode == ThresholdMode::kFixed) {
     const float theta = policy.fixed_value;
-    float* outp = out.raw();
     float* cmem = record ? cache->membrane.raw() : nullptr;
     std::uint32_t* counts = step_count.data();
     std::vector<std::size_t> row_total(B, 0);  // spikes over all T
     std::vector<std::size_t> row_last(B, 0);   // spikes at t = T−1
-    const std::vector<float> zero_row(N, 0.0f);  // S(−1)
     parallel_for(
         0, B,
         [&](std::size_t b) {
           float* vrow = v.raw() + b * N;
+          float* srow = s.raw() + b * N;
           float* crow = current.raw() + b * N;
-          std::uint32_t* row_idx = spike_idx != nullptr ? spike_idx.get() + b * slice : nullptr;
+          std::uint32_t* row_idx = spike_idx.get() + b * slice;
           const std::uint32_t* prev_idx = row_idx;  // S(t−1)'s spike indices
           std::uint32_t rn = 0;
           std::size_t total = 0, last = 0;
@@ -205,42 +222,33 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
                 for (std::size_t j = 0; j < N; ++j) crow[j] += wrow[j];
               }
             }
-            // S(t−1) is row b of the previous output slab — no prev_s copy.
-            const float* srow_prev =
-                t > 0 ? outp + ((t - 1) * B + b) * N : zero_row.data();
-            float* srow_out = outp + (t * B + b) * N;
             // Membrane update + spike emission, branch-free over j so it
             // vectorizes; the select equals hard_spike(vt − θ) exactly.
+            // srow holds S(t−1) on entry and S(t) on exit.
             for (std::size_t j = 0; j < N; ++j) {
-              const float vt = beta * vrow[j] - theta * srow_prev[j] + crow[j];
+              const float vt = beta * vrow[j] - theta * srow[j] + crow[j];
               vrow[j] = vt;
-              srow_out[j] = vt - theta > 0.0f ? 1.0f : 0.0f;
+              srow[j] = vt - theta > 0.0f ? 1.0f : 0.0f;
             }
-            // Spike-index/count scan, kept out of the arithmetic loop above
-            // so its data-dependent branch cannot block vectorization.
-            std::size_t count = 0;
-            std::uint32_t* cur_idx = record ? row_idx + total : row_idx;
-            if (cur_idx != nullptr) {
-              for (std::size_t j = 0; j < N; ++j) {
-                if (srow_out[j] != 0.0f) cur_idx[count++] = static_cast<std::uint32_t>(j);
-              }
-            } else {
-              for (std::size_t j = 0; j < N; ++j) count += srow_out[j] != 0.0f ? 1u : 0u;
+            if (outp != nullptr) std::copy(srow, srow + N, outp + (t * B + b) * N);
+            // Spike-index scan, kept out of the arithmetic loop above so its
+            // data-dependent branch cannot block vectorization.
+            std::uint32_t* cur_idx = row_idx + total;
+            std::uint32_t count = 0;
+            for (std::size_t j = 0; j < N; ++j) {
+              if (srow[j] != 0.0f) cur_idx[count++] = static_cast<std::uint32_t>(j);
             }
             prev_idx = cur_idx;
-            rn = static_cast<std::uint32_t>(count);
+            rn = count;
             total += count;
             if (t + 1 == T) last = count;
-            if (record) {
-              counts[t * B + b] = static_cast<std::uint32_t>(count);
-              std::copy(vrow, vrow + N, cmem + (t * B + b) * N);
-            }
+            counts[t * B + b] = count;
+            if (record) std::copy(vrow, vrow + N, cmem + (t * B + b) * N);
           }
           row_total[b] = total;
           row_last[b] = last;
         },
         T * n_out_ * 4);
-    if (record) cache->out_events = pack_spike_rows(T, B, N, spike_idx.get(), step_count);
     if (stats != nullptr) {
       // Fixed-order reduction over rows (integer sums, but keep row order
       // anyway).  ff synops = every event × n_out; recurrent synops at step
@@ -258,13 +266,13 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
       stats->spikes += spike_total;
       stats->timestep_slots += static_cast<std::uint64_t>(T) * B;
     }
-    return out;
+    return pack_spike_rows(T, B, N, spike_idx.get(), step_count);
   }
 
-  // Per row: the previous step's spike-index count and, when recording, the
-  // number of indices recorded so far (the previous step's indices end there).
+  // Per row: the previous step's spike count and the number of indices
+  // recorded so far (the previous step's indices end there).
   std::vector<std::uint32_t> rec_len(B, 0);
-  std::vector<std::size_t> row_fill(record ? B : 0, 0);
+  std::vector<std::size_t> row_fill(B, 0);
   std::vector<std::size_t> row_spikes(B, 0);
   std::size_t prev_spike_total = 0;  // spikes at t−1 = this step's recurrent events
 
@@ -299,11 +307,11 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
               for (std::size_t j = 0; j < N; ++j) crow[j] += av * wrow[j];
             }
           }
-          std::uint32_t* row_idx = spike_idx != nullptr ? spike_idx.get() + b * slice : nullptr;
-          const std::size_t fill = record ? row_fill[b] : 0;
+          std::uint32_t* row_idx = spike_idx.get() + b * slice;
+          const std::size_t fill = row_fill[b];
           // I(t) += S(t−1)·W_rec over last step's recorded spike indices.
           if (recurrent && t > 0) {
-            const std::uint32_t* ridx = row_idx + (fill - (record ? rec_len[b] : 0));
+            const std::uint32_t* ridx = row_idx + (fill - rec_len[b]);
             const std::uint32_t rn = rec_len[b];
             for (std::uint32_t e = 0; e < rn; ++e) {
               const float* wrow = wrec + ridx[e] * N;
@@ -312,29 +320,24 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
           }
           // V(t) = β·V(t−1) − θ(t−1)·S(t−1) + I(t);  S(t) = Θ(V(t) − θ(t)),
           // branch-free so it vectorizes; the select equals hard_spike
-          // exactly.  The spike-index scan runs as a separate loop.
+          // exactly.  srow holds S(t−1) on entry and S(t) on exit; the
+          // spike-index scan runs as a separate loop.
           float* vrow = v.raw() + b * N;
-          const float* srow_prev = prev_s.raw() + b * N;
-          float* srow_out = out.slab(t).data() + b * N;
+          float* srow = s.raw() + b * N;
           for (std::size_t j = 0; j < N; ++j) {
-            const float vt = beta * vrow[j] - th_prev * srow_prev[j] + crow[j];
+            const float vt = beta * vrow[j] - th_prev * srow[j] + crow[j];
             vrow[j] = vt;
-            srow_out[j] = vt - th_t > 0.0f ? 1.0f : 0.0f;
+            srow[j] = vt - th_t > 0.0f ? 1.0f : 0.0f;
           }
-          std::size_t count = 0;
-          if (row_idx != nullptr) {
-            std::uint32_t* ridx_out = row_idx + fill;
-            for (std::size_t j = 0; j < N; ++j) {
-              if (srow_out[j] != 0.0f) ridx_out[count++] = static_cast<std::uint32_t>(j);
-            }
-          } else {
-            for (std::size_t j = 0; j < N; ++j) count += srow_out[j] != 0.0f ? 1u : 0u;
+          if (outp != nullptr) std::copy(srow, srow + N, outp + (t * B + b) * N);
+          std::uint32_t* ridx_out = row_idx + fill;
+          std::uint32_t count = 0;
+          for (std::size_t j = 0; j < N; ++j) {
+            if (srow[j] != 0.0f) ridx_out[count++] = static_cast<std::uint32_t>(j);
           }
-          rec_len[b] = static_cast<std::uint32_t>(count);
-          if (record) {
-            row_fill[b] += count;
-            step_count[t * B + b] = static_cast<std::uint32_t>(count);
-          }
+          rec_len[b] = count;
+          row_fill[b] += count;
+          step_count[t * B + b] = count;
           row_spikes[b] = count;
         },
         n_out_ * 4);
@@ -345,7 +348,6 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
     for (std::size_t b = 0; b < B; ++b) spike_count += row_spikes[b];
     th.observe(static_cast<int>(t), spike_count);
 
-    const float* sp_out = out.slab(t).data();
     if (record) {
       std::copy(v.raw(), v.raw() + bn, cache->membrane.slab(t).data());
       cache->theta[t] = theta_t;
@@ -362,12 +364,10 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
       stats->timestep_slots += B;
     }
 
-    std::copy(sp_out, sp_out + bn, prev_s.raw());
     theta_prev = theta_t;
     prev_spike_total = spike_count;
   }
-  if (record) cache->out_events = pack_spike_rows(T, B, n_out_, spike_idx.get(), step_count);
-  return out;
+  return pack_spike_rows(T, B, n_out_, spike_idx.get(), step_count);
 }
 
 Tensor RecurrentLifLayer::forward_dense(const Tensor& x, SpikeMode mode,
@@ -438,23 +438,29 @@ Tensor RecurrentLifLayer::forward_dense(const Tensor& x, SpikeMode mode,
 void RecurrentLifLayer::backward(const Tensor& x, const LayerCache& cache, const Tensor& d_out,
                                  Tensor* d_in, SpikeOpStats* stats) {
   R4NCL_CHECK(x.rank() == 3 && d_out.rank() == 3, "x and d_out must be 3-D");
-  const std::size_t T = x.dim(0), B = x.dim(1), N = n_out_;
-  R4NCL_CHECK(d_out.dim(0) == T && d_out.dim(1) == B && d_out.dim(2) == N,
-              "d_out shape mismatch");
+  R4NCL_CHECK(d_out.dim(0) == x.dim(0) && d_out.dim(1) == x.dim(1), "d_out shape mismatch");
+  backward(cache, d_out, d_in, stats);
+}
+
+void RecurrentLifLayer::backward(const LayerCache& cache, const Tensor& d_out, Tensor* d_in,
+                                 SpikeOpStats* stats) {
+  R4NCL_CHECK(d_out.rank() == 3 && d_out.dim(2) == n_out_, "d_out shape mismatch");
+  const std::size_t T = d_out.dim(0), B = d_out.dim(1), N = n_out_;
   R4NCL_CHECK(cache.membrane.rank() == 3 && cache.membrane.dim(0) == T,
               "cache does not match this pass");
   R4NCL_CHECK(cache.membrane.dim(1) == B && cache.membrane.dim(2) == N,
               "cache batch " << cache.membrane.dim(1) << " != input batch " << B);
   R4NCL_CHECK(cache.theta.size() == T,
               "cache holds " << cache.theta.size() << " thresholds for " << T << " timesteps");
-  const auto matches = [&](const std::shared_ptr<const compress::BatchEventList>& ev,
-                           std::size_t channels) {
+  const auto matches = [&](const SpikeList& ev, std::size_t channels) {
     return ev != nullptr && ev->timesteps == T && ev->batch == B && ev->channels == channels;
   };
   R4NCL_CHECK(matches(cache.in_events, n_in_), "cached input events do not match x");
   R4NCL_CHECK(matches(cache.out_events, N), "cached output events do not match d_out");
   if (d_in != nullptr) {
-    R4NCL_CHECK(d_in->same_shape(x), "d_in shape mismatch");
+    R4NCL_CHECK(d_in->rank() == 3 && d_in->dim(0) == T && d_in->dim(1) == B &&
+                    d_in->dim(2) == n_in_,
+                "d_in shape mismatch");
   }
   const compress::BatchEventList& in_ev = *cache.in_events;
   const compress::BatchEventList& out_ev = *cache.out_events;

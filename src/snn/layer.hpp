@@ -14,20 +14,21 @@
 // default (LifParams::detach_reset), matching common SNN training practice;
 // the non-detached variant exists so finite-difference tests can validate the
 // complete gradient in soft mode.
-// Hot path (hard mode): the forward pass is event-driven — the input cube is
-// turned into per-timestep active-channel lists (compress::BatchEventList)
-// once, I(t) accumulates O(events·n_out) weight rows in ascending channel
-// order (the exact accumulation order of kernels::matmul's zero-skipping
-// loop, so sparse ≡ dense bit-for-bit), the membrane update runs
-// batch-parallel over B rows (disjoint writes, per-row spike counts reduced
-// in fixed row order — threads=N ≡ threads=1), and synop stats fall out of
-// the event list instead of a per-timestep count_nonzero rescan.
+// Hot path (hard mode): spikes travel between layers as per-timestep
+// active-channel lists (compress::BatchEventList, alias SpikeList), never as
+// dense cubes.  A pass takes its input's list, I(t) accumulates
+// O(events·n_out) weight rows in ascending channel order (the exact
+// accumulation order of kernels::matmul's zero-skipping loop, so sparse ≡
+// dense bit-for-bit), the membrane update runs batch-parallel over B rows
+// (disjoint writes, per-row spike counts reduced in fixed row order —
+// threads=N ≡ threads=1), synop stats fall out of the event list instead of
+// a per-timestep count_nonzero rescan, and the pass returns its own output
+// spikes as a list (the CSR it already scans for the recurrent step), which
+// is the next layer's input.
 //
 // Backward (both modes): every spike list is built once per training pass.
-// A caching forward keeps its input event list and records its own output
-// spikes as an event list (the CSR it already scans for the recurrent
-// step), and the next layer's forward takes that list as its input list.
-// BPTT then reuses both: dW_ff += X(t)ᵀ·dV(t) and dW_rec += S(t−1)ᵀ·dV(t)
+// A caching forward keeps its input list and its output list, and BPTT
+// reuses both: dW_ff += X(t)ᵀ·dV(t) and dW_rec += S(t−1)ᵀ·dV(t)
 // scatter dV rows into the weight rows of the active channels
 // (kernels::csr_at_b_accum), and dX = dV·W_ffᵀ, dS_rec = dV·W_recᵀ run as
 // unit-stride row updates against a transpose of each weight made once per
@@ -36,7 +37,9 @@
 // ascending batch row within a timestep, input gradients ascending output
 // unit from 0 — so gradients are bit-identical to the dense formulation at
 // any thread count (parallel splits are over disjoint output rows only).
-// Soft mode builds its lists from the dense cubes, so backward has one path.
+// Soft mode and SparseForward::kNever run the dense kernels on the input's
+// cube and build the output list from the dense output, so the list is the
+// one currency between layers and backward has one path.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +54,12 @@
 #include "util/serialize.hpp"
 
 namespace r4ncl::snn {
+
+/// A batch's spikes as an event list — what layers hand to each other.
+using SpikeList = std::shared_ptr<const compress::BatchEventList>;
+
+/// The event list of a dense spike cube (compress::events_from_batch).
+[[nodiscard]] SpikeList spike_list(const Tensor& x);
 
 /// Forward-pass kernel selection.  Both paths are bit-identical, so this is
 /// purely a performance knob; kNever exists as the bench baseline and
@@ -110,13 +119,13 @@ struct LayerCache {
   /// event-driven forward ran from, reused for dW_ff += X(t)ᵀ·dV(t).
   /// Shared, because in a training step it is the previous layer's
   /// out_events.
-  std::shared_ptr<const compress::BatchEventList> in_events;
+  SpikeList in_events;
   /// The pass output S as per-timestep active-channel lists (ascending
-  /// spike indices, all values 1.0f in hard mode), recorded while the
-  /// forward emits the spikes.  Feeds dW_rec += S(t−1)ᵀ·dV(t) and the next
-  /// layer's forward and weight gradient.  Equal to
-  /// compress::events_from_batch of the output cube.
-  std::shared_ptr<const compress::BatchEventList> out_events;
+  /// spike indices, all values 1.0f in hard mode) — the list the forward
+  /// returned.  Feeds dW_rec += S(t−1)ᵀ·dV(t) and the next layer's forward
+  /// and weight gradient.  Equal to compress::events_from_batch of the
+  /// output cube.
+  SpikeList out_events;
 };
 
 /// One recurrent spiking layer (n_in → n_out).
@@ -138,26 +147,33 @@ class RecurrentLifLayer {
   /// backward pass needs.  `stats`, if non-null, accumulates event counts.
   /// Hard mode dispatches through the event-driven path (see file comment)
   /// unless set_sparse_forward(kNever); results are bit-identical either way.
-  /// `x_events`, when non-null, must be x's event list (e.g. the previous
-  /// layer's LayerCache::out_events); the pass then reuses it instead of
-  /// scanning x again.
+  /// `x_events`, when non-null, must be x's event list; the pass then
+  /// reuses it instead of scanning x again.
   Tensor forward(const Tensor& x, SpikeMode mode, const ThresholdPolicy& policy,
-                 LayerCache* cache, SpikeOpStats* stats,
-                 std::shared_ptr<const compress::BatchEventList> x_events = nullptr) const;
+                 LayerCache* cache, SpikeOpStats* stats, SpikeList x_events = nullptr) const;
+
+  /// The event-list form, used by the network: takes x as its event list
+  /// and returns the output spikes' list.  In hard mode no dense cube is
+  /// built; soft mode and SparseForward::kNever run the dense kernels on
+  /// x's cube.  Bit-identical to the Tensor form.
+  SpikeList forward(SpikeList x, SpikeMode mode, const ThresholdPolicy& policy,
+                    LayerCache* cache, SpikeOpStats* stats) const;
 
   /// Event-driven forward directly from per-timestep active-channel lists
   /// (e.g. built from AER samples via compress::events_from_aer) — no dense
   /// input cube exists at any point.  Bit-identical to forward() over the
-  /// equivalent dense cube.  Inference-only (no `cache` capture); training
-  /// passes an event list to forward() alongside the dense x.
+  /// equivalent dense cube.  Inference-only (no `cache` capture).
   Tensor forward_events(const compress::BatchEventList& events, SpikeMode mode,
                         const ThresholdPolicy& policy, SpikeOpStats* stats) const;
 
-  /// BPTT backward.  `x` must be the exact tensor passed to forward and
-  /// `cache` that pass's cache, `d_out` is ∂L/∂S (T × B × n_out).
-  /// Accumulates weight gradients internally and, when `d_in` is non-null,
-  /// writes ∂L/∂X (same shape as x).  backward_synops charges the dense
-  /// B·n_in·n_out model per gradient term, independent of spike counts.
+  /// BPTT backward.  `cache` is a caching forward's cache, `d_out` is ∂L/∂S
+  /// (T × B × n_out).  Accumulates weight gradients internally and, when
+  /// `d_in` is non-null, writes ∂L/∂X (T × B × n_in).  backward_synops
+  /// charges the dense B·n_in·n_out model per gradient term, independent of
+  /// spike counts.
+  void backward(const LayerCache& cache, const Tensor& d_out, Tensor* d_in,
+                SpikeOpStats* stats);
+  /// As above, for a pass that ran on the dense `x` (checked against d_out).
   void backward(const Tensor& x, const LayerCache& cache, const Tensor& d_out, Tensor* d_in,
                 SpikeOpStats* stats);
 
@@ -182,9 +198,12 @@ class RecurrentLifLayer {
   /// stats) — soft mode and the SparseForward::kNever bench baseline.
   Tensor forward_dense(const Tensor& x, SpikeMode mode, const ThresholdPolicy& policy,
                        LayerCache* cache, SpikeOpStats* stats) const;
-  /// The event-driven, batch-parallel path (hard mode).
-  Tensor forward_sparse(const compress::BatchEventList& events, const ThresholdPolicy& policy,
-                        LayerCache* cache, SpikeOpStats* stats) const;
+  /// Whether a pass in `mode` runs the dense kernels.
+  [[nodiscard]] static bool dense_kernels(SpikeMode mode) noexcept;
+  /// The event-driven, batch-parallel path (hard mode): returns the output
+  /// spikes' list and, when `dense_out` is non-null, writes the output cube.
+  SpikeList forward_sparse(const compress::BatchEventList& events, const ThresholdPolicy& policy,
+                           LayerCache* cache, SpikeOpStats* stats, Tensor* dense_out) const;
 
   std::size_t n_in_;
   std::size_t n_out_;

@@ -52,21 +52,31 @@ std::size_t SnnNetwork::insertion_width(std::size_t insertion_layer) const {
   return config_.layer_sizes.at(insertion_layer);
 }
 
+SpikeList SnnNetwork::run_hidden(SpikeList x, std::size_t from, std::size_t to,
+                                 const ThresholdPolicy& policy, SpikeOpStats* stats) const {
+  R4NCL_CHECK(from <= to && to <= num_hidden(), "bad layer range [" << from << ", " << to << ")");
+  for (std::size_t i = from; i < to; ++i) {
+    x = hidden_[i].forward(std::move(x), SpikeMode::kHard, policy, nullptr, stats);
+  }
+  return x;
+}
+
 Tensor SnnNetwork::run_hidden(const Tensor& x, std::size_t from, std::size_t to,
                               const ThresholdPolicy& policy, SpikeOpStats* stats) const {
   R4NCL_CHECK(from <= to && to <= num_hidden(), "bad layer range [" << from << ", " << to << ")");
   if (from == to) return x;
-  Tensor cur = hidden_[from].forward(x, SpikeMode::kHard, policy, nullptr, stats);
-  for (std::size_t i = from + 1; i < to; ++i) {
-    cur = hidden_[i].forward(cur, SpikeMode::kHard, policy, nullptr, stats);
-  }
-  return cur;
+  return compress::batch_from_events(*run_hidden(spike_list(x), from, to, policy, stats));
+}
+
+Tensor SnnNetwork::forward_logits(SpikeList x, std::size_t from, const ThresholdPolicy& policy,
+                                  SpikeOpStats* stats) const {
+  return readout_.forward(*run_hidden(std::move(x), from, num_hidden(), policy, stats), stats);
 }
 
 Tensor SnnNetwork::forward_logits(const Tensor& x, std::size_t from,
                                   const ThresholdPolicy& policy, SpikeOpStats* stats) const {
-  const Tensor readout_in = run_hidden(x, from, num_hidden(), policy, stats);
-  return readout_.forward(readout_in, stats);
+  R4NCL_CHECK(x.rank() == 3, "input must be (T × B × C)");
+  return forward_logits(spike_list(x), from, policy, stats);
 }
 
 StepResult SnnNetwork::train_step(const Tensor& x, std::span<const std::int32_t> labels,
@@ -75,28 +85,30 @@ StepResult SnnNetwork::train_step(const Tensor& x, std::span<const std::int32_t>
                                   SpikeOpStats* stats,
                                   std::vector<std::uint8_t>* row_correct) {
   R4NCL_CHECK(x.rank() == 3, "input must be (T × B × C)");
+  return train_step(spike_list(x), labels, from, policy, optimizer, lr, mode, stats,
+                    row_correct);
+}
+
+StepResult SnnNetwork::train_step(SpikeList x, std::span<const std::int32_t> labels,
+                                  std::size_t from, const ThresholdPolicy& policy,
+                                  AdamOptimizer& optimizer, float lr, SpikeMode mode,
+                                  SpikeOpStats* stats,
+                                  std::vector<std::uint8_t>* row_correct) {
+  R4NCL_CHECK(x != nullptr, "train_step needs an input event list");
   R4NCL_CHECK(from <= num_hidden(), "insertion layer out of range");
   const std::size_t trained = num_hidden() - from;
-  const std::size_t B = x.dim(1);
+  const std::size_t T = x->timesteps, B = x->batch;
   R4NCL_CHECK(labels.size() == B, "labels/batch mismatch");
 
-  // Forward through the learning layers, caching for BPTT.  outputs[k] is
-  // hidden layer from+k's output; input_of(k) is the cube entering it — x
-  // itself (by reference, never copied) for k = 0, the readout input for
-  // k = trained.  Each layer's recorded output event list is the next
-  // layer's input list, so every spike list is built once per step.
-  std::vector<Tensor> outputs;
-  outputs.reserve(trained);
+  // Forward through the learning layers, caching for BPTT: each layer's
+  // output list is the next layer's input list and the readout's input, so
+  // every spike list is built once per step and no dense cube is built.
   std::vector<LayerCache> caches(trained);
-  const auto input_of = [&](std::size_t k) -> const Tensor& {
-    return k == 0 ? x : outputs[k - 1];
-  };
+  SpikeList readout_in = std::move(x);
   for (std::size_t k = 0; k < trained; ++k) {
-    outputs.push_back(hidden_[from + k].forward(input_of(k), mode, policy, &caches[k], stats,
-                                                k > 0 ? caches[k - 1].out_events : nullptr));
+    readout_in = hidden_[from + k].forward(std::move(readout_in), mode, policy, &caches[k], stats);
   }
-  const Tensor& readout_in = input_of(trained);
-  Tensor logits = readout_.forward(readout_in, stats);
+  Tensor logits = readout_.forward(*readout_in, stats);
 
   // Loss and logits gradient.
   Tensor d_logits(logits.rows(), logits.cols());
@@ -115,14 +127,12 @@ StepResult SnnNetwork::train_step(const Tensor& x, std::span<const std::int32_t>
   readout_.zero_grad();
   for (std::size_t k = 0; k < trained; ++k) hidden_[from + k].zero_grad();
 
-  Tensor d_act = trained > 0 ? Tensor(readout_in.dim(0), readout_in.dim(1), readout_in.dim(2))
-                             : Tensor();
-  readout_.backward(readout_in, d_logits, trained > 0 ? &d_act : nullptr, stats,
-                    trained > 0 ? caches[trained - 1].out_events.get() : nullptr);
+  Tensor d_act = trained > 0 ? Tensor(T, B, readout_.n_in()) : Tensor();
+  readout_.backward(*readout_in, d_logits, trained > 0 ? &d_act : nullptr, stats);
   for (std::size_t k = trained; k-- > 0;) {
-    const Tensor& in = input_of(k);
-    Tensor d_prev = k > 0 ? Tensor(in.dim(0), in.dim(1), in.dim(2)) : Tensor();
-    hidden_[from + k].backward(in, caches[k], d_act, k > 0 ? &d_prev : nullptr, stats);
+    RecurrentLifLayer& layer = hidden_[from + k];
+    Tensor d_prev = k > 0 ? Tensor(T, B, layer.n_in()) : Tensor();
+    layer.backward(caches[k], d_act, k > 0 ? &d_prev : nullptr, stats);
     d_act = std::move(d_prev);
   }
 

@@ -57,24 +57,38 @@ class SnnNetwork {
   [[nodiscard]] LeakyReadout& readout() noexcept { return readout_; }
   [[nodiscard]] const LeakyReadout& readout() const noexcept { return readout_; }
 
-  /// Runs hidden layers [from, to) over x (spike cube at layer `from`'s
-  /// input) and returns the spike cube entering layer `to`.  to = num_hidden
+  /// Runs hidden layers [from, to) over x (the spikes entering layer
+  /// `from`, as an event list) and returns the list entering layer `to`;
+  /// each layer's output list is the next layer's input.  to = num_hidden
   /// yields the readout input.  Evaluation only (no caches kept).
+  [[nodiscard]] SpikeList run_hidden(SpikeList x, std::size_t from, std::size_t to,
+                                     const ThresholdPolicy& policy,
+                                     SpikeOpStats* stats = nullptr) const;
+  /// run_hidden() on a dense spike cube, returning the dense cube.
   [[nodiscard]] Tensor run_hidden(const Tensor& x, std::size_t from, std::size_t to,
                                   const ThresholdPolicy& policy,
                                   SpikeOpStats* stats = nullptr) const;
 
   /// Full forward from hidden layer `from` through the readout → logits.
+  [[nodiscard]] Tensor forward_logits(SpikeList x, std::size_t from,
+                                      const ThresholdPolicy& policy,
+                                      SpikeOpStats* stats = nullptr) const;
   [[nodiscard]] Tensor forward_logits(const Tensor& x, std::size_t from,
                                       const ThresholdPolicy& policy,
                                       SpikeOpStats* stats = nullptr) const;
 
   /// One BPTT training step on hidden layers [from, num_hidden) plus the
-  /// readout.  `x` is the spike cube at the insertion point, `labels` one
-  /// per batch row.  Returns the batch loss and top-1 hits.  When
-  /// `row_correct` is non-null it is resized to the batch and filled with
-  /// each row's pre-update top-1 hit (1 = correct) — the per-sample outcome
-  /// signal importance-aware replay feeds back to its buffer.
+  /// readout.  `x` is the spike batch at the insertion point as an event
+  /// list, `labels` one per batch row.  Returns the batch loss and top-1
+  /// hits.  When `row_correct` is non-null it is resized to the batch and
+  /// filled with each row's pre-update top-1 hit (1 = correct) — the
+  /// per-sample outcome signal importance-aware replay feeds back to its
+  /// buffer.
+  StepResult train_step(SpikeList x, std::span<const std::int32_t> labels, std::size_t from,
+                        const ThresholdPolicy& policy, AdamOptimizer& optimizer, float lr,
+                        SpikeMode mode = SpikeMode::kHard, SpikeOpStats* stats = nullptr,
+                        std::vector<std::uint8_t>* row_correct = nullptr);
+  /// train_step() on a dense spike cube.
   StepResult train_step(const Tensor& x, std::span<const std::int32_t> labels,
                         std::size_t from, const ThresholdPolicy& policy,
                         AdamOptimizer& optimizer, float lr,

@@ -5,6 +5,7 @@
 #include "compress/aer.hpp"
 #include "tensor/ops.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace r4ncl::snn {
 
@@ -20,28 +21,52 @@ LeakyReadout::LeakyReadout(std::size_t n_in, std::size_t n_classes, float beta, 
   w_.fill_normal(rng, gain / std::sqrt(static_cast<float>(n_in)));
 }
 
-Tensor LeakyReadout::forward(const Tensor& x, SpikeOpStats* stats) const {
-  R4NCL_CHECK(x.rank() == 3 && x.dim(2) == n_in_, "readout input shape mismatch");
-  const std::size_t T = x.dim(0), B = x.dim(1);
-  Tensor logits(B, n_classes_);
-  Tensor v(B, n_classes_);
-  Tensor current(B, n_classes_);
-  const std::size_t bc = B * n_classes_;
-  for (std::size_t t = 0; t < T; ++t) {
-    kernels::matmul(x.slab(t).data(), B, n_in_, w_.raw(), n_classes_, current.raw(), false);
-    float* vp = v.raw();
-    const float* ip = current.raw();
-    float* lp = logits.raw();
-    for (std::size_t i = 0; i < bc; ++i) {
-      vp[i] = beta_ * vp[i] + ip[i];
-      lp[i] += vp[i];
-    }
-    if (stats != nullptr) {
-      const std::size_t events = kernels::count_nonzero(x.slab(t).data(), B * n_in_);
-      stats->synops += static_cast<std::uint64_t>(events) * n_classes_;
-      stats->neuron_updates += bc;
-      stats->timestep_slots += B;
-    }
+Tensor LeakyReadout::forward(const compress::BatchEventList& x, SpikeOpStats* stats) const {
+  R4NCL_CHECK(x.channels == n_in_, "readout input shape mismatch");
+  const std::size_t T = x.timesteps, B = x.batch, C = n_classes_;
+  Tensor logits(B, C);
+  Tensor v(B, C);
+  Tensor current(B, C);
+  // Rows are independent, so each runs its whole T-step trace on one thread;
+  // every element sees the same op sequence at any thread count.
+  const std::uint32_t* offs = x.offsets.data();
+  const std::uint32_t* chan = x.channel.data();
+  const float* val = x.value.data();
+  const bool unit = x.unit_values;
+  const float* w = w_.raw();
+  const float beta = beta_;
+  parallel_for(
+      0, B,
+      [&](std::size_t b) {
+        float* crow = current.raw() + b * C;
+        float* vrow = v.raw() + b * C;
+        float* lrow = logits.raw() + b * C;
+        for (std::size_t t = 0; t < T; ++t) {
+          std::fill(crow, crow + C, 0.0f);
+          const std::size_t lo = offs[t * B + b], hi = offs[t * B + b + 1];
+          if (unit) {
+            for (std::size_t e = lo; e < hi; ++e) {
+              const float* wrow = w + chan[e] * C;
+              for (std::size_t j = 0; j < C; ++j) crow[j] += wrow[j];
+            }
+          } else {
+            for (std::size_t e = lo; e < hi; ++e) {
+              const float av = val[e];
+              const float* wrow = w + chan[e] * C;
+              for (std::size_t j = 0; j < C; ++j) crow[j] += av * wrow[j];
+            }
+          }
+          for (std::size_t j = 0; j < C; ++j) {
+            vrow[j] = beta * vrow[j] + crow[j];
+            lrow[j] += vrow[j];
+          }
+        }
+      },
+      T * C * 4);
+  if (stats != nullptr) {
+    stats->synops += static_cast<std::uint64_t>(x.num_events()) * C;
+    stats->neuron_updates += static_cast<std::uint64_t>(T) * B * C;
+    stats->timestep_slots += static_cast<std::uint64_t>(T) * B;
   }
   // Time-mean normalisation (see header): keeps the softmax temperature
   // independent of T.
@@ -50,22 +75,35 @@ Tensor LeakyReadout::forward(const Tensor& x, SpikeOpStats* stats) const {
   return logits;
 }
 
+Tensor LeakyReadout::forward(const Tensor& x, SpikeOpStats* stats) const {
+  R4NCL_CHECK(x.rank() == 3 && x.dim(2) == n_in_, "readout input shape mismatch");
+  return forward(compress::events_from_batch(x), stats);
+}
+
 void LeakyReadout::backward(const Tensor& x, const Tensor& d_logits, Tensor* d_in,
                             SpikeOpStats* stats, const compress::BatchEventList* x_events) {
   R4NCL_CHECK(x.rank() == 3 && x.dim(2) == n_in_, "readout input shape mismatch");
-  const std::size_t T = x.dim(0), B = x.dim(1);
+  if (x_events == nullptr) {
+    backward(compress::events_from_batch(x), d_logits, d_in, stats);
+    return;
+  }
+  R4NCL_CHECK(x_events->timesteps == x.dim(0) && x_events->batch == x.dim(1) &&
+                  x_events->channels == n_in_,
+              "x_events does not describe x");
+  backward(*x_events, d_logits, d_in, stats);
+}
+
+void LeakyReadout::backward(const compress::BatchEventList& x, const Tensor& d_logits,
+                            Tensor* d_in, SpikeOpStats* stats) {
+  R4NCL_CHECK(x.channels == n_in_, "readout input shape mismatch");
+  const std::size_t T = x.timesteps, B = x.batch;
   R4NCL_CHECK(d_logits.rank() == 2 && d_logits.rows() == B && d_logits.cols() == n_classes_,
               "d_logits shape mismatch");
   if (d_in != nullptr) {
-    R4NCL_CHECK(d_in->same_shape(x), "d_in shape mismatch");
+    R4NCL_CHECK(d_in->rank() == 3 && d_in->dim(0) == T && d_in->dim(1) == B &&
+                    d_in->dim(2) == n_in_,
+                "d_in shape mismatch");
   }
-  compress::BatchEventList built;
-  if (x_events == nullptr) {
-    built = compress::events_from_batch(x);
-    x_events = &built;
-  }
-  R4NCL_CHECK(x_events->timesteps == T && x_events->batch == B && x_events->channels == n_in_,
-              "x_events does not describe x");
   // Wᵀ once per call, so dX(t) = c(t)·Wᵀ runs as unit-stride row updates.
   std::vector<float> w_t(d_in != nullptr ? n_in_ * n_classes_ : 0);
   if (d_in != nullptr) kernels::transpose(w_.raw(), n_in_, n_classes_, w_t.data());
@@ -81,9 +119,9 @@ void LeakyReadout::backward(const Tensor& x, const Tensor& d_logits, Tensor* d_i
     const float* gp = d_logits.raw();
     for (std::size_t i = 0; i < bc; ++i) cp[i] = gp[i] * inv_t + beta_ * cp[i];
     // dW += X(t)ᵀ·c(t), scattered from x's event list.
-    kernels::csr_at_b_accum(x_events->offsets.data() + ti * B, x_events->channel.data(),
-                            x_events->unit_values ? nullptr : x_events->value.data(), B, n_in_,
-                            cp, n_classes_, d_w_.raw());
+    kernels::csr_at_b_accum(x.offsets.data() + ti * B, x.channel.data(),
+                            x.unit_values ? nullptr : x.value.data(), B, n_in_, cp, n_classes_,
+                            d_w_.raw());
     bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * n_classes_;
     if (d_in != nullptr) {
       kernels::matmul_dense(cp, B, n_classes_, w_t.data(), n_in_, d_in->slab(ti).data());

@@ -27,14 +27,23 @@ class LeakyReadout {
   [[nodiscard]] std::size_t n_classes() const noexcept { return n_classes_; }
   [[nodiscard]] float beta() const noexcept { return beta_; }
 
-  /// Forward over a (T × B × n_in) spike cube → (B × classes) logits.
+  /// Forward over a (T × B × n_in) spike batch's event list → (B × classes)
+  /// logits.  Event-driven: each row's I(t) adds the weight rows of its
+  /// events in stored (ascending-channel) order — the op sequence of a
+  /// zero-skipping dense X(t)·W — so it is bit-identical to the dense
+  /// formulation, and synops come from the list's event count.
+  Tensor forward(const compress::BatchEventList& x, SpikeOpStats* stats) const;
+  /// forward() over the event list of a dense cube.
   Tensor forward(const Tensor& x, SpikeOpStats* stats) const;
 
   /// Backward from ∂L/∂logits; accumulates dW and, when non-null, writes
-  /// ∂L/∂X.  `x` must be the tensor passed to forward.  dW is scattered from
-  /// x's event list: `x_events` when the caller holds it (the last hidden
-  /// layer's LayerCache::out_events), otherwise built from x.  Gradients are
-  /// bit-identical to the dense Xᵀ·c(t) / c(t)·Wᵀ formulation.
+  /// ∂L/∂X (T × B × n_in).  `x` is the list forward ran on; dW is scattered
+  /// from it.  Gradients are bit-identical to the dense Xᵀ·c(t) / c(t)·Wᵀ
+  /// formulation.
+  void backward(const compress::BatchEventList& x, const Tensor& d_logits, Tensor* d_in,
+                SpikeOpStats* stats);
+  /// As above for the dense `x` forward ran on: scatters from `x_events`
+  /// when the caller holds x's list, otherwise builds it from x.
   void backward(const Tensor& x, const Tensor& d_logits, Tensor* d_in, SpikeOpStats* stats,
                 const compress::BatchEventList* x_events = nullptr);
 

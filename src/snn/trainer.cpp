@@ -55,7 +55,7 @@ std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& s
     std::size_t batches = 0;
     while (const PreparedBatch* pb = pipeline.next_batch()) {
       const StepResult step =
-          net.train_step(pb->batch, pb->labels, options.insertion_layer, options.policy,
+          net.train_step(pb->events, pb->labels, options.insertion_layer, options.policy,
                          optimizer, options.lr, options.mode, &rec.stats,
                          options.sample_outcome ? &row_correct : nullptr);
       loss_sum += step.loss;
@@ -106,27 +106,21 @@ double evaluate(const SnnNetwork& net, const SampleSource& source, std::size_t i
   R4NCL_CHECK(static_cast<bool>(source.fetch), "SampleSource.fetch must be set");
   R4NCL_CHECK(batch_size > 0, "batch_size must be positive");
   std::size_t correct = 0;
-  // One scratch batch reused across the whole sweep: samples stream through
-  // it one at a time, so peak assembly memory is a single minibatch.
-  Tensor batch;
+  // One event-list scratch reused across the whole sweep: samples stream
+  // into it one at a time, so peak assembly memory is a single minibatch.
+  compress::BatchEventBuilder batch;
   std::vector<std::int32_t> labels;
   labels.reserve(batch_size);
   for (std::size_t lo = 0; lo < source.size; lo += batch_size) {
     const std::size_t hi = std::min(source.size, lo + batch_size);
-    const std::size_t count = hi - lo;
+    batch.begin(hi - lo);
     labels.clear();
-    for (std::size_t b = 0; b < count; ++b) {
-      const data::Sample& s = source.fetch(lo + b);
-      if (b == 0) {
-        data::ensure_batch_shape(batch, s.raster.timesteps, count, s.raster.channels);
-      } else {
-        R4NCL_CHECK(s.raster.timesteps == batch.dim(0) && s.raster.channels == batch.dim(2),
-                    "raster shape mismatch inside batch");
-      }
-      data::fill_batch_column(batch, b, s.raster);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const data::Sample& s = source.fetch(i);
+      batch.add(s.raster);
       labels.push_back(s.label);
     }
-    const Tensor logits = net.forward_logits(batch, insertion_layer, policy, stats);
+    const Tensor logits = net.forward_logits(batch.finish(), insertion_layer, policy, stats);
     const auto preds = argmax_rows(logits);
     for (std::size_t i = 0; i < preds.size(); ++i) {
       if (preds[i] == labels[i]) ++correct;
@@ -143,16 +137,14 @@ void for_each_latent(const SnnNetwork& net, const data::Dataset& dataset, std::s
     return;
   }
   R4NCL_CHECK(batch_size > 0, "batch_size must be positive");
-  std::vector<std::size_t> indices;
-  indices.reserve(batch_size);
+  compress::BatchEventBuilder batch;
   for (std::size_t lo = 0; lo < dataset.size(); lo += batch_size) {
     const std::size_t hi = std::min(dataset.size(), lo + batch_size);
-    indices.clear();
-    for (std::size_t i = lo; i < hi; ++i) indices.push_back(i);
-    const Tensor latent =
-        net.run_hidden(data::make_batch(dataset, indices), 0, insertion, policy, stats);
-    for (std::size_t b = 0; b < indices.size(); ++b) {
-      sink(data::batch_to_raster(latent, b), dataset[lo + b].label);
+    batch.begin(hi - lo);
+    for (std::size_t i = lo; i < hi; ++i) batch.add(dataset[i].raster);
+    const SpikeList latent = net.run_hidden(batch.finish(), 0, insertion, policy, stats);
+    for (std::size_t i = lo; i < hi; ++i) {
+      sink(compress::raster_from_events(*latent, i - lo), dataset[i].label);
     }
   }
 }

@@ -59,8 +59,8 @@ using EpochHook = std::function<void(const EpochRecord&)>;
 
 /// Random-access view over a virtual training set: `size` samples produced
 /// on demand.  fetch(i) may return a reference into an internal scratch slot
-/// that is only valid until the next fetch — the trainer copies each sample
-/// into the batch tensor before fetching the next one, which is what lets a
+/// that is only valid until the next fetch — the trainer adds each sample
+/// to the batch's event list before fetching the next one, which is what lets a
 /// streaming replay source decode one sample at a time instead of
 /// materializing the whole set (see core::ReplayStream).
 struct SampleSource {
@@ -89,7 +89,7 @@ double evaluate(const SnnNetwork& net, const data::Dataset& dataset,
                 std::size_t batch_size = 32, SpikeOpStats* stats = nullptr);
 
 /// evaluate() over a lazily-fetched source: samples stream one at a time
-/// into a single reused scratch batch, so a replay-buffer-backed source is
+/// into a single reused event-list scratch, so a replay-buffer-backed source is
 /// scored without ever materializing the set densely.  Bit-identical to the
 /// Dataset overload (which is implemented on top of this one).
 double evaluate(const SnnNetwork& net, const SampleSource& source,

@@ -165,8 +165,7 @@ TEST(SparseForward, MatchesDenseOnNonBinaryValues) {
 TEST(SparseForward, EventsFromAerMatchEventsFromBatch) {
   const std::size_t T = 10, B = 5, C = 64, N = 32;
   std::vector<compress::AerRaster> aer;
-  Tensor x;
-  data::ensure_batch_shape(x, T, B, C);
+  Tensor x(T, B, C);
   for (std::size_t b = 0; b < B; ++b) {
     const data::SpikeRaster r = random_raster(T, C, 0.1, 300 + b);
     data::fill_batch_column(x, b, r);
@@ -419,9 +418,9 @@ TEST(BatchScratch, TrainerAllocationsPinnedPerSlot) {
     opts.epochs = epochs;
     opts.batch_size = 8;
     opts.prefetch = prefetch;
-    const std::uint64_t before = data::batch_tensor_allocations();
+    const std::uint64_t before = compress::batch_event_allocations();
     (void)snn::train_supervised(net, train, opt, opts);
-    return data::batch_tensor_allocations() - before;
+    return compress::batch_event_allocations() - before;
   };
   // prefetch=0 runs one slot; prefetch=1 double-buffers with two.  More
   // epochs must not add a single allocation.
@@ -447,10 +446,10 @@ TEST(BatchScratch, EvaluateSourceMatchesDatasetAndReusesScratch) {
   snn::SpikeOpStats dataset_stats, source_stats;
   const double acc_dataset = snn::evaluate(net, test, 0, snn::ThresholdPolicy::fixed(1.0f),
                                            8, &dataset_stats);
-  const std::uint64_t before = data::batch_tensor_allocations();
+  const std::uint64_t before = compress::batch_event_allocations();
   const double acc_source = snn::evaluate(net, source, 0, snn::ThresholdPolicy::fixed(1.0f),
                                           8, &source_stats);
-  const std::uint64_t delta = data::batch_tensor_allocations() - before;
+  const std::uint64_t delta = compress::batch_event_allocations() - before;
   EXPECT_EQ(acc_dataset, acc_source);
   expect_same_stats(dataset_stats, source_stats);
   // 24 samples at batch 8: three equal-shape batches through one scratch.

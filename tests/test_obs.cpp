@@ -2,18 +2,23 @@
 // snapshot JSON shape, registry determinism across identical runs, the
 // enabled ≡ disabled bit-identity contract across policy × shards ×
 // replay_stream, a concurrent-increment hammer (the TSan obs lane filters on
-// the ObsRegistryHammer name), and the declarative CLI knob table.
+// the ObsRegistryHammer name), the declarative CLI knob table, and the run
+// engines' published op counts and outcome feedback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/continual_trainer.hpp"
 #include "core/experiment.hpp"
+#include "core/pretrain.hpp"
 #include "core/replay_stream.hpp"
+#include "core/sequential.hpp"
 #include "core/sharded_engine.hpp"
 #include "obs/metrics.hpp"
 #include "util/config.hpp"
@@ -306,6 +311,131 @@ TEST(ObsRegistry, EnabledRunsBitIdenticalToDisabledAcrossPolicyShardsStream) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Run engines: SpikeOpStats counters and importance-feedback calls
+// ---------------------------------------------------------------------------
+
+/// A 24-16-12-8 network over 5 synthetic classes, small enough to pre-train
+/// in well under a second.
+core::PretrainConfig tiny_pretrain_config() {
+  core::PretrainConfig cfg;
+  cfg.network.layer_sizes = {24, 16, 12, 8};
+  cfg.network.num_classes = 5;
+  cfg.network.seed = 5;
+  cfg.data_params.channels = 24;
+  cfg.data_params.classes = 5;
+  cfg.data_params.timesteps = 20;
+  cfg.data_params.seed = 7;
+  cfg.split.train_per_class = 6;
+  cfg.split.test_per_class = 5;
+  cfg.split.replay_per_class = 3;
+  cfg.split.new_class = 4;
+  cfg.split.seed = 9;
+  cfg.epochs = 6;
+  cfg.batch_size = 6;
+  cfg.lr = 1e-2f;
+  return cfg;
+}
+
+const core::PretrainedScenario& tiny_scenario() {
+  static const core::PretrainedScenario s =
+      core::make_pretrained_scenario(tiny_pretrain_config(), ::testing::TempDir(), false);
+  return s;
+}
+
+/// Low-importance replay with importance feedback on, sampled draws.
+core::NclMethodConfig feedback_method() {
+  core::NclMethodConfig m = core::NclMethodConfig::replay4ncl(10);
+  m.lr_cl = 5e-3f;
+  m.batch_size = 4;
+  m.replay_budget.policy = core::ReplayPolicy::kLowImportance;
+  m.importance_feedback = true;
+  m.replay_samples_per_epoch = 3;
+  m.threads = 1;
+  return m;
+}
+
+core::ClRunResult feedback_cl_run(snn::SnnNetwork& net) {
+  core::ClRunConfig cfg;
+  cfg.method = feedback_method();
+  cfg.insertion_layer = 1;
+  cfg.epochs = 3;
+  cfg.eval_every = 2;
+  cfg.seed = 31;
+  return core::run_continual_learning(net, tiny_scenario().tasks, cfg);
+}
+
+bool same_floats(const Tensor& a, const Tensor& b) {
+  return a.size() == b.size() &&
+         std::equal(a.values().begin(), a.values().end(), b.values().begin(),
+                    [](float x, float y) { return std::memcmp(&x, &y, sizeof x) == 0; });
+}
+
+TEST(ObsOpCounters, ArmedContinualRunMatchesDisarmedAndCountsRowStats) {
+  GlobalRegistryGuard guard;
+  snn::SnnNetwork off_net = tiny_scenario().net.clone();
+  const core::ClRunResult off = feedback_cl_run(off_net);
+  metrics().set_armed(true);
+  metrics().reset_values();
+  snn::SnnNetwork on_net = tiny_scenario().net.clone();
+  const core::ClRunResult on = feedback_cl_run(on_net);
+  metrics().set_armed(false);
+
+  ASSERT_EQ(off.rows.size(), on.rows.size());
+  snn::SpikeOpStats total;
+  for (std::size_t i = 0; i < on.rows.size(); ++i) {
+    const core::ClEpochRow& a = off.rows[i];
+    const core::ClEpochRow& b = on.rows[i];
+    EXPECT_EQ(std::memcmp(&a.loss, &b.loss, sizeof a.loss), 0) << "epoch " << i;
+    EXPECT_EQ(a.acc_old, b.acc_old);
+    EXPECT_EQ(a.acc_new, b.acc_new);
+    EXPECT_EQ(a.latency_ms, b.latency_ms);
+    EXPECT_EQ(a.energy_uj, b.energy_uj);
+    EXPECT_EQ(a.stats.synops, b.stats.synops);
+    EXPECT_EQ(a.stats.backward_synops, b.stats.backward_synops);
+    EXPECT_EQ(a.stats.spikes, b.stats.spikes);
+    EXPECT_EQ(a.stats.neuron_updates, b.stats.neuron_updates);
+    total.add(b.stats);
+  }
+  for (std::size_t l = 0; l < on_net.num_hidden(); ++l) {
+    EXPECT_TRUE(same_floats(off_net.hidden(l).w_ff(), on_net.hidden(l).w_ff())) << l;
+    EXPECT_TRUE(same_floats(off_net.hidden(l).w_rec(), on_net.hidden(l).w_rec())) << l;
+  }
+  EXPECT_TRUE(same_floats(off_net.readout().w(), on_net.readout().w()));
+
+  // The counters are the rows' op counts, summed over the epochs.
+  EXPECT_GT(total.synops, 0u);
+  EXPECT_EQ(metrics().counter("snn.synops").value(), total.synops);
+  EXPECT_EQ(metrics().counter("snn.backward_synops").value(), total.backward_synops);
+  EXPECT_EQ(metrics().counter("snn.spikes").value(), total.spikes);
+  EXPECT_EQ(metrics().counter("snn.neuron_updates").value(), total.neuron_updates);
+}
+
+TEST(ObsOpCounters, OnlyTheStreamEngineFeedsOutcomesBack) {
+  GlobalRegistryGuard guard;
+  metrics().set_armed(true);
+  // A single-task run never adds or evicts after preparation, so it scores
+  // no replay row even with importance feedback on.
+  snn::SnnNetwork cl_net = tiny_scenario().net.clone();
+  (void)feedback_cl_run(cl_net);
+  EXPECT_EQ(metrics().counter("replay_engine.outcomes").value(), 0u);
+
+  // The stream keeps adding and evicting, so it feeds every replayed row
+  // back: 3 draws per epoch, 2 epochs per task, 2 tasks.
+  const core::PretrainConfig pc = tiny_pretrain_config();
+  const data::SequentialTasks tasks =
+      data::build_sequential_tasks(data::SyntheticShdGenerator(pc.data_params), pc.split, 2);
+  core::SequentialRunConfig cfg;
+  cfg.method = feedback_method();
+  cfg.insertion_layer = 1;
+  cfg.epochs_per_task = 2;
+  cfg.replay_per_new_class = 2;
+  cfg.seed = 43;
+  snn::SnnNetwork seq_net = tiny_scenario().net.clone();
+  (void)core::run_sequential(seq_net, tasks, cfg);
+  EXPECT_EQ(metrics().counter("replay_engine.outcomes").value(), 3u * 2u * 2u);
 }
 
 // ---------------------------------------------------------------------------
